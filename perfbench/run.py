@@ -1,12 +1,13 @@
 """Benchmark of the SNT-index: query latency, throughput, set-up and size.
 
     python3 perfbench/run.py --workload temporal-zone --seed 1 \\
-        --seconds 10 --trace 0
+        --seconds 12 --trace 0
 
 One run generates (or reloads) the SF = 0.1 trajectory set on a 40x40
-grid, builds the index the workload needs ``N_BUILDS`` times, and runs
-the workload's queries in a closed loop with one client for
-``--seconds`` seconds (and at least ``MIN_SAMPLES`` queries).  Every
+grid and builds the index the workload needs ``N_BUILDS`` times.  After
+each build, that index serves ``1/N_BUILDS`` of the timed query phase:
+the workload's queries in a closed loop with one client, for
+``--seconds`` seconds in all (and at least ``MIN_SAMPLES`` queries).  Every
 answer is checked; the last line of standard output is one JSON object
 ``{"correct", "attempted", "failed", "metrics"}``.  ``--trace 0`` reports
 the end-to-end metrics, ``--trace 1`` the per-layer metrics of traced
@@ -42,7 +43,8 @@ DATA_SEED = 0        # the trajectory set is fixed; --seed picks the queries
 BETA = 20
 N_BUILDS = 3         # setup_s is the median of these builds
 MIN_SAMPLES = 200    # leaves >= 10 timed samples beyond the p95
-WARMUP_S = 1.0
+WARMUP_S = 0.3       # untimed queries before each timed slice
+REPIN_S = 0.25       # how often the query client re-picks its vCPU
 N_ORACLE = 8         # final sub-queries per run re-evaluated on DuckDB
 SPANS_WRITTEN = 50   # traced queries whose spans go to the trace file
 SPARK_CORES = 4
@@ -72,7 +74,7 @@ WORKLOADS = {
     "temporal-zone": Workload("temporal", "zone", None, None, 1200),
     # Fig 11b as jobs/cardinality.py runs it: estimator, W = 11 partitions
     "temporal-zone-90d-acc": Workload("temporal", "zone", 90.0, "CSS-Acc",
-                                      300),
+                                      330),
     # not in BENCHMARK.json: the estimator under user filters (~100 ms/query)
     "user-zone-90d-acc": Workload("user", "zone", 90.0, "CSS-Acc", 200),
     # not in BENCHMARK.json: no relaxation, no estimator
@@ -266,18 +268,57 @@ class Answers:
 def machine_loop_ms() -> float:
     """Median time of a fixed pure-Python loop: a gauge of how fast the
     (shared) machine runs right now, logged next to the results."""
-    times = []
-    for _ in range(5):
-        t0 = time.perf_counter()
-        s = 0
-        for i in range(300_000):
-            s += i * i
-        times.append((time.perf_counter() - t0) * 1e3)
-    return statistics.median(times)
+    return statistics.median(_spin_ms(300_000) for _ in range(5))
+
+
+def _spin_ms(n: int) -> float:
+    """Time of a fixed pure-Python loop of ``n`` steps, in ms."""
+    t0 = time.perf_counter()
+    s = 0
+    for i in range(n):
+        s += i * i
+    return (time.perf_counter() - t0) * 1e3
+
+
+class FastestCPU:
+    """Keeps the query client on the vCPU that runs fastest right now.
+
+    On a shared host other tenants slow each vCPU down on its own, and
+    which ones are slow changes every few seconds.  On a 4-vCPU VM, at
+    almost every moment one vCPU ran a fixed loop at full speed while the
+    others ran it 30-50 % slower.  Every ``REPIN_S`` the client times a
+    short loop on each vCPU it may use and moves to the fastest.  This
+    runs between queries, outside the timed region.
+    """
+
+    def __init__(self) -> None:
+        self.cpus = sorted(os.sched_getaffinity(0))
+        self.due = 0.0
+
+    def repin(self) -> None:
+        if len(self.cpus) < 2 or time.perf_counter() < self.due:
+            return
+        speed = {}
+        for c in self.cpus:
+            os.sched_setaffinity(0, {c})
+            speed[c] = min(_spin_ms(10_000), _spin_ms(10_000))
+        os.sched_setaffinity(0, {min(speed, key=speed.get)})
+        self.due = time.perf_counter() + REPIN_S
+
+    def release(self) -> None:
+        """Back to every vCPU, for the builds and the DuckDB check."""
+        os.sched_setaffinity(0, set(self.cpus))
+        self.due = 0.0
+
+
+CLIENT_CPU = FastestCPU()
 
 
 def timed_call(run_one, i: int, answers: Answers) -> tuple[float, float]:
-    """Run pool query ``i`` once; ``(latency s, seconds spent checking)``."""
+    """Run pool query ``i`` once; ``(latency s, seconds spent checking)``.
+
+    The checks and the client's move to the fastest vCPU come after the
+    query and count as checking time."""
     a = time.perf_counter()
     try:
         res, exc = run_one(i), None
@@ -285,6 +326,7 @@ def timed_call(run_one, i: int, answers: Answers) -> tuple[float, float]:
         res, exc = None, e
     b = time.perf_counter()
     answers.check(i, res, exc)
+    CLIENT_CPU.repin()
     return b - a, time.perf_counter() - b
 
 
@@ -355,110 +397,135 @@ def oracle_check(pdf, pool, answers: Answers, rng) -> int:
 
 # -- one run ------------------------------------------------------------------
 
-def build_indexes(spark, net, trav, wl: Workload, tracer=None):
-    """Build ``N_BUILDS`` times; return the last index and the build times.
+@dataclass
+class Timed:
+    """What the timed slices of a run collect."""
 
-    With a tracer, the build phases are recorded as spans.
+    build_s: list[float]
+    lat: list[float]       # latencies of the timed queries, s
+    wall: float            # measured wall time of the slices together, s
+    tlat: list[float]      # traced latencies (--trace 1 only), s
+    loop_ms: list[float]   # machine_loop_ms before the first and after
+                           # the last slice
+
+
+def build_and_serve(spark, net, trav, wl: Workload, pool, answers: Answers,
+                    seconds: float, tracer: Tracer | None):
+    """``N_BUILDS`` builds, each followed by one slice of the query phase.
+
+    Build ``b`` is timed, then its index serves ``seconds / N_BUILDS`` of
+    timed queries (after ``WARMUP_S`` of untimed ones) before build
+    ``b + 1`` starts.  Spreading the timed queries and the builds over
+    the whole run averages them over more of the shared host's slow and
+    fast phases than back-to-back phases would, at no extra run time.
+    The pool cursor carries over from slice to slice, so the timed
+    queries cycle through the pool as in one long loop.  With a tracer,
+    the build phases are recorded as spans and each slice is a paired
+    untraced/traced loop.  Returns the last index, an untraced query
+    function on it, and the timings.
     """
+    from repro.core.cardinality import CardinalityEstimator
+    from repro.core.query import trip_query
     from repro.index.build import build_index
-    build, patch = build_index, nullcontext()
+    from repro.workload import make_spq
+
+    spqs = [make_spq(qt, wl.query_type, beta=BETA) for qt in pool]
+    build, build_patch = build_index, nullcontext()
     if tracer is not None:
         build = tracer.span("build.build_index", build_index)
-        patch = Patch(tracer, build_targets())
-    times = []
+        build_patch = Patch(tracer, build_targets())
+        tr_query = tracer.span("query.trip_query", trip_query)
+        query_patch = Patch(tracer, query_targets())
+    timed = Timed([], [], 0.0, [], [])
+    k = 0  # pool cursor of the timed queries
     index = None
-    for _ in range(N_BUILDS):
+    for b in range(N_BUILDS):
         index = None
         gc.collect()
-        with patch:
+        with build_patch:
             t0 = time.perf_counter()
             index = build(spark, net, trav, partition_days=wl.partition_days)
-            times.append(time.perf_counter() - t0)
-    return index, times
+            timed.build_s.append(time.perf_counter() - t0)
+        note(f"build {b + 1}/{N_BUILDS}: {timed.build_s[-1]:.2f}s")
+        est = (CardinalityEstimator(index, wl.estimator)
+               if wl.estimator else None)
+
+        def runner(query, index=index, est=est):
+            def run_one(i):
+                return query(index, spqs[i],
+                             partition_method=wl.partition_method,
+                             split_method="regular", estimator=est,
+                             exclude_d=pool[i].d)
+            return run_one
+
+        run_one = runner(trip_query)
+        gc.collect()
+        if b == 0:
+            timed.loop_ms.append(machine_loop_ms())
+        # untimed warm-up on the queries this slice times first
+        closed_loop(run_one, len(pool), answers, k, seconds=WARMUP_S,
+                    min_count=0)
+        if tracer is None:
+            lat, wall = closed_loop(run_one, len(pool), answers, k,
+                                    seconds=seconds / N_BUILDS,
+                                    min_count=-(-MIN_SAMPLES // N_BUILDS))
+            timed.wall += wall
+        else:
+            tr_run = runner(tr_query)
+
+            def traced_one(i, tr_run=tr_run):
+                tracer.query += 1  # spans of one execution share its id
+                return tr_run(i)
+            lat, tlat = paired_loop(run_one, traced_one, query_patch,
+                                    len(pool), answers, k,
+                                    seconds=seconds / N_BUILDS)
+            timed.tlat += tlat
+            timed.wall += sum(lat)
+            tracer.query = -1
+        timed.lat += lat
+        k += len(lat)
+        CLIENT_CPU.release()
+        note(f"slice {b + 1}/{N_BUILDS}: {len(lat)} timed queries")
+    timed.loop_ms.append(machine_loop_ms())
+    return index, run_one, timed
 
 
-@dataclass
-class Setup:
-    """What the Spark phase of a run hands to the query phase."""
+def measure(spark, workload: str, seed: int, seconds: float,
+            trace: bool) -> dict:
+    """Dataset, query pool, builds with the timed query slices, checks.
 
-    pdf: object          # pandas traversals, for the DuckDB oracle
-    pool: list           # QueryTrajectory, in draw order
-    index: object        # the served SNTIndex of the last build
-    build_s: list[float]
-    datagen_s: float | None
-    tracer: Tracer | None
-
-
-def prepare(spark, wl: Workload, seed: int, trace: bool) -> Setup:
-    """Dataset, query pool and index builds: everything that needs Spark."""
+    Only the builds need Spark; the caller stops it after this returns.
+    """
+    import numpy as np
+    from repro.core.metrics import smape_term
     from repro.network.graph import build_grid_network
+
+    wl = WORKLOADS[workload]
     net = build_grid_network(nx=GRID, ny=GRID, seed=7)
     trav, pdf, datagen_s = load_dataset(spark, net, regenerate=trace)
     note(f"dataset loaded ({datagen_s=})")
     pool = sample_pool(pdf, wl.pool, seed)
     note(f"{len(pool)} queries sampled")
     tracer = Tracer() if trace else None
-    index, build_s = build_indexes(spark, net, trav, wl, tracer)
-    note(f"index built {N_BUILDS}x: {build_s}")
-    return Setup(pdf, pool, index, build_s, datagen_s, tracer)
-
-
-def measure(st: Setup, workload: str, seed: int, seconds: float) -> dict:
-    """Query phase: timed closed loop, checks, and the traced pass."""
-    import numpy as np
-    from repro.core.cardinality import CardinalityEstimator
-    from repro.core.metrics import smape_term
-    from repro.core.query import trip_query
-    from repro.workload import make_spq
-
-    wl = WORKLOADS[workload]
-    pool, index, tracer = st.pool, st.index, st.tracer
-    spqs = [make_spq(qt, wl.query_type, beta=BETA) for qt in pool]
-    mem = memory_split(index)
-    est = (CardinalityEstimator(index, wl.estimator)
-           if wl.estimator else None)
-
-    def runner(query):
-        def run_one(i):
-            return query(index, spqs[i], partition_method=wl.partition_method,
-                         split_method="regular", estimator=est,
-                         exclude_d=pool[i].d)
-        return run_one
-
     oracle_rng = np.random.default_rng([seed, 1])
     answers = Answers(pool, oracle_rng.choice(len(pool), N_ORACLE,
                                               replace=False))
-    run_one = runner(trip_query)
-    gc.collect()
-    loop_before = machine_loop_ms()
-    warm, _ = closed_loop(run_one, len(pool), answers, 0,
-                          seconds=WARMUP_S, min_count=0)
-    if tracer is None:
-        lat, wall = closed_loop(run_one, len(pool), answers, len(warm),
-                                seconds=seconds, min_count=MIN_SAMPLES)
-        note(f"{len(lat)} timed queries in {wall:.2f}s")
-    else:
-        tr_run = runner(tracer.span("query.trip_query", trip_query))
-
-        def traced_one(i):
-            tracer.query += 1  # spans of one execution share its id
-            return tr_run(i)
-        lat, tlat = paired_loop(run_one, traced_one,
-                                Patch(tracer, query_targets()), len(pool),
-                                answers, len(warm), seconds=seconds)
-        wall = sum(lat)
-        tracer.query = -1
-        note(f"{len(lat)} queries run untraced and traced")
+    index, run_one, timed = build_and_serve(spark, net, trav, wl, pool,
+                                            answers, seconds, tracer)
+    trav.unpersist()
+    lat, wall, tlat = timed.lat, timed.wall, timed.tlat
+    note(f"{len(lat)} timed queries in {wall:.2f}s")
     # answer every pool query once, so the digest covers the whole pool
     for i, fp in enumerate(answers.fps):
         if fp is None:
-            closed_loop(run_one, len(pool), answers, i, seconds=0,
-                        min_count=1)
+            timed_call(run_one, i, answers)
+    CLIENT_CPU.release()
     note("pool answered")
+    mem = memory_split(index)
 
     m: dict[str, float] = {}
     lat_ms = np.asarray(lat) * 1e3
-    m["setup_s"] = statistics.median(st.build_s)
+    m["setup_s"] = statistics.median(timed.build_s)
     m["query_p50_ms"] = float(np.percentile(lat_ms, 50))
     m["query_p95_ms"] = float(np.percentile(lat_ms, 95))
     m["queries_per_s"] = len(lat) / wall
@@ -469,8 +536,8 @@ def measure(st: Setup, workload: str, seed: int, seconds: float) -> dict:
 
     info = {"workload": workload, "seed": seed, "seconds": seconds,
             "timed_queries": len(lat), "pool": len(pool),
-            "machine_loop_ms": [loop_before, machine_loop_ms()],
-            "build_s": st.build_s, "answer_digest": digest(answers.fps)}
+            "machine_loop_ms": timed.loop_ms,
+            "build_s": timed.build_s, "answer_digest": digest(answers.fps)}
     out_dir = os.path.join(WORK, "out")
     os.makedirs(out_dir, exist_ok=True)
 
@@ -483,12 +550,12 @@ def measure(st: Setup, workload: str, seed: int, seconds: float) -> dict:
         m["build.n_partitions"] = index.n_partitions
         m["build.string_len"] = sum(fm.n for fm in index.fms)
         m.update(mem)
-        m["datagen_s"] = st.datagen_s
+        m["datagen_s"] = datagen_s
         tracer.write_json(
             os.path.join(out_dir, f"spans-{workload}-{seed}.json"),
             SPANS_WRITTEN, dict(info, layers=m))
 
-    info["oracle_checked"] = oracle_check(st.pdf, pool, answers, oracle_rng)
+    info["oracle_checked"] = oracle_check(pdf, pool, answers, oracle_rng)
     note(f"{info['oracle_checked']} sub-queries checked on DuckDB")
     m["query_fail_frac"] = answers.failed / answers.attempted
     info.update(attempted=answers.attempted, failed=answers.failed,
@@ -522,11 +589,10 @@ def main(argv=None) -> int:
     sys.path.insert(0, SRC)
     spark = start_spark()
     try:
-        setup = prepare(spark, WORKLOADS[args.workload], args.seed,
-                        bool(args.trace))
+        info = measure(spark, args.workload, args.seed, args.seconds,
+                       bool(args.trace))
     finally:
-        stop_spark(spark)  # the index serves from Python alone
-    info = measure(setup, args.workload, args.seed, args.seconds)
+        stop_spark(spark)
     names = metric_names(bool(args.trace))
     for n in sorted(info["metrics"]):
         print(f"{n:40s} {info['metrics'][n]:14.6g} {unit_of(n)}",
