@@ -16,23 +16,6 @@ if os.path.join(ROOT, "src") not in sys.path:
     sys.path.insert(0, os.path.join(ROOT, "src"))
 
 
-def get_spark(app: str):
-    """A local SparkSession configured like the test fixture."""
-    os.environ.setdefault(
-        "PYSPARK_SUBMIT_ARGS",
-        f"--master {os.environ.get('SPARK_MASTER', 'local[*]')} "
-        f"--driver-memory {os.environ.get('SPARK_DRIVER_MEM', '24g')} "
-        "--conf spark.driver.host=127.0.0.1 "
-        "--conf spark.ui.enabled=false pyspark-shell")
-    from pyspark.sql import SparkSession
-    return (SparkSession.builder.appName(app)
-            .config("spark.sql.shuffle.partitions",
-                    os.environ.get("SPARK_SHUFFLE_PARTITIONS", "64"))
-            .config("spark.sql.execution.arrow.pyspark.enabled", "true")
-            .config("spark.sql.autoBroadcastJoinThreshold", -1)
-            .getOrCreate())
-
-
 def add_common_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--sf", type=float, default=0.1,
                    help="trajectory scale factor (0.1 ~ 100 MB)")

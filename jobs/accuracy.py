@@ -11,7 +11,8 @@ baselines (speed-limit-only, all-per-segment).
 import argparse
 import sys
 
-from _common import add_common_args, get_spark, print_table, save_csv, setup
+from _common import add_common_args, print_table, save_csv, setup
+from repro.session import get_spark
 
 GRID = {
     "temporal": ["p1", "p2", "p3", "cat", "zone", "zonecat", "none"],

@@ -6,7 +6,8 @@ Useful as a smoke entrypoint and for the Fig.-10 FULL column.
 """
 import argparse
 
-from _common import add_common_args, get_spark, print_table, setup
+from _common import add_common_args, print_table, setup
+from repro.session import get_spark
 
 
 def main() -> None:

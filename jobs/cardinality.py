@@ -14,7 +14,8 @@ import sys
 
 import numpy as np
 
-from _common import add_common_args, get_spark, print_table, save_csv, setup
+from _common import add_common_args, print_table, save_csv, setup
+from repro.session import get_spark
 
 PARTITIONS = [("90", 90.0), ("365", 365.0), ("FULL", None)]
 

@@ -11,7 +11,8 @@ minutes, and wall-clock setup time.
 import argparse
 import sys
 
-from _common import add_common_args, get_spark, print_table, save_csv, setup
+from _common import add_common_args, print_table, save_csv, setup
+from repro.session import get_spark
 
 CONFIGS = [("7", 7.0, "css"), ("30", 30.0, "css"), ("90", 90.0, "css"),
            ("365", 365.0, "css"), ("FULL", None, "css"), ("BT", None, "bt")]

@@ -13,9 +13,9 @@ Estimates ``beta_hat = seltod * seltf * selu * cP`` where
 * ``selu = 1/10`` for a user predicate (the Selinger default).
 
 Modes: ``ISA`` (cP alone), ``BT-Fast``, ``BT-Acc``, ``CSS-Fast``,
-``CSS-Acc``.  The Acc modes walk the per-partition histogram store when
-the index is temporally partitioned — the scan cost the paper identifies
-as CSS-Acc's weakness at small partition sizes (Fig. 11b).
+``CSS-Acc``.  The Acc modes walk the per-partition histogram store —
+the scan cost the paper identifies as CSS-Acc's weakness at small
+partition sizes (Fig. 11b).
 """
 from __future__ import annotations
 
@@ -45,9 +45,7 @@ class CardinalityEstimator:
         sel = 1.0
         if spq.interval.periodic:
             if self.mode.endswith("Acc"):
-                sel *= self.index.tod_selectivity(
-                    e0, spq.interval,
-                    per_partition=self.index.n_partitions > 1)
+                sel *= self.index.tod_selectivity(e0, spq.interval)
             else:
                 sel *= min(1.0, spq.interval.size / DAY)
         if spq.timeframe is not None:

@@ -53,41 +53,6 @@ class Histogram:
         return Histogram(np.convolve(self.counts, other.counts),
                          self.base + other.base, self.h)
 
-    def bucket_count(self, lo: float, hi: float) -> float:
-        """B(H, [lo, hi)): elements in buckets whose range lies in [lo, hi).
-
-        Bucket granularity: a bucket is counted iff its *start* value
-        falls in [lo, hi) — consistent for selectivity ratios.
-        """
-        if len(self.counts) == 0 or hi <= lo:
-            return 0.0
-        b_lo = int(np.ceil(lo / self.h - 1e-9))
-        b_hi = int(np.ceil(hi / self.h - 1e-9))
-        i0 = max(0, b_lo - self.base)
-        i1 = max(0, min(len(self.counts), b_hi - self.base))
-        return float(self.counts[i0:i1].sum())
-
-    def min_value(self) -> float:
-        """Lower edge of the smallest non-empty bucket (H^min)."""
-        nz = np.nonzero(self.counts)[0]
-        if len(nz) == 0:
-            return 0.0
-        return (self.base + int(nz[0])) * self.h
-
-    def max_value(self) -> float:
-        """Upper edge of the largest non-empty bucket (H^max)."""
-        nz = np.nonzero(self.counts)[0]
-        if len(nz) == 0:
-            return 0.0
-        return (self.base + int(nz[-1]) + 1) * self.h
-
-    def mean(self) -> float:
-        """Bucket-midpoint mean (raw-sample means are preferred upstream)."""
-        if self.total == 0:
-            return 0.0
-        mids = (self.base + np.arange(len(self.counts)) + 0.5) * self.h
-        return float((mids * self.counts).sum() / self.total)
-
     def density_at(self, x: float) -> float:
         """f(x, H): fraction of mass in x's bucket (sec. 5.3.3)."""
         if self.total == 0:
@@ -96,10 +61,6 @@ class Histogram:
         if 0 <= b < len(self.counts):
             return float(self.counts[b]) / self.total
         return 0.0
-
-    def nbytes(self) -> int:
-        """Approximate store footprint: counts array + base/h header."""
-        return int(self.counts.nbytes) + 16
 
 
 def convolve_all(hs: list[Histogram]) -> Histogram:

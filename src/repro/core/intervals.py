@@ -47,13 +47,6 @@ class Interval:
             return [(lo, hi)]
         return [(lo, DAY), (0.0, hi - DAY)]
 
-    def contains(self, t: float) -> bool:
-        """Membership of an absolute timestamp."""
-        if not self.periodic:
-            return self.ts <= t < self.te
-        tod = t % DAY
-        return any(lo <= tod < hi for lo, hi in self.tod_ranges())
-
 
 def fixed(ts: float, te: float) -> Interval:
     """Fixed interval ``[ts, te)``."""

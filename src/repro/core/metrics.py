@@ -1,10 +1,11 @@
 """Evaluation metrics (paper sec. 5.3).
 
-* :func:`smape_term` / :func:`smape` — symmetric mean absolute
-  percentage error of the summed sub-query means vs the trip's actual
-  duration (5.3.1);
-* :func:`weighted_error` — per-sub-query sMAPE weighted by the
-  sub-path's share of the path *length* (5.3.2);
+* :func:`smape_term` — one query's symmetric absolute percentage error
+  of the summed sub-query means vs the trip's actual duration; sMAPE is
+  its mean over the query set (5.3.1);
+* :func:`weighted_error_term` — one query's per-sub-query sMAPE
+  weighted by the sub-path's share of the path *length*; wE is its mean
+  over the query set (5.3.2);
 * :func:`log_likelihood` — average log-likelihood of the actual
   duration under the result histogram smoothed with a uniform floor,
   ``p_H(x) = gamma f(x,H) + (1 - gamma) U(x)`` (5.3.3);
@@ -31,13 +32,6 @@ def smape_term(estimate: float, actual: float) -> float:
     return 100.0 * abs(estimate - actual) / denom
 
 
-def smape(estimates: Sequence[float], actuals: Sequence[float]) -> float:
-    """sMAPE over a query set (sec. 5.3.1)."""
-    if not estimates:
-        return float("nan")
-    return sum(smape_term(e, a) for e, a in zip(estimates, actuals)) / len(estimates)
-
-
 def weighted_error_term(sub_means: Sequence[float],
                         sub_actuals: Sequence[float],
                         sub_lengths: Sequence[float]) -> float:
@@ -47,13 +41,6 @@ def weighted_error_term(sub_means: Sequence[float],
         return 0.0
     return sum((l / total_len) * smape_term(m, a)
                for m, a, l in zip(sub_means, sub_actuals, sub_lengths))
-
-
-def weighted_error(per_query_terms: Sequence[float]) -> float:
-    """wE over a query set (sec. 5.3.2) — mean of per-query terms."""
-    if not per_query_terms:
-        return float("nan")
-    return sum(per_query_terms) / len(per_query_terms)
 
 
 def log_likelihood(actual: float, hist: Histogram, gamma: float = 0.99,

@@ -15,6 +15,7 @@ every metric of sec. 5.3 plus the Fig. 7 average sub-path length.
 """
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 
 from repro.core.cardinality import CardinalityEstimator
@@ -85,8 +86,8 @@ def trip_query(index: SNTIndex, spq: SPQ, *, partition_method: str,
         return len(m)
 
     # (sub-query, shifted?) — shift-and-enlarge is applied once per lineage
-    queue: list[tuple[SPQ, bool]] = [
-        (q, False) for q in partition(partition_method, spq, index.net)]
+    queue: deque[tuple[SPQ, bool]] = deque(
+        (q, False) for q in partition(partition_method, spq, index.net))
     subs: list[SubResult] = []
     res = QueryResult(hist=Histogram.from_values([], hist_h), subs=subs)
     s_acc = 0.0  # sum of previous sub-histograms' minima
@@ -97,7 +98,7 @@ def trip_query(index: SNTIndex, spq: SPQ, *, partition_method: str,
         steps += 1
         if steps > _MAX_STEPS:
             raise RuntimeError("tripQuery did not converge")
-        q, shifted = queue.pop(0)
+        q, shifted = queue.popleft()
         if q.interval.periodic and subs and not shifted:
             q = q.with_(interval=shift_and_enlarge(q.interval, s_acc, r_acc))
             shifted = True
@@ -106,9 +107,9 @@ def trip_query(index: SNTIndex, spq: SPQ, *, partition_method: str,
             res.n_estimates += 1
             if estimator.estimate(q) < q.beta:
                 res.n_relaxations += 1
-                queue = [(nq, shifted) for nq in
-                         relax(q, split_method, card, index.tmax, alphas)
-                         ] + queue
+                queue.extendleft(
+                    (nq, shifted) for nq in reversed(
+                        relax(q, split_method, card, index.tmax, alphas)))
                 continue
         res.n_index_scans += 1
         r = index.get_travel_times(q.path, q.interval, q.user, q.beta,
@@ -120,8 +121,9 @@ def trip_query(index: SNTIndex, spq: SPQ, *, partition_method: str,
             r_acc += hi - lo
         else:
             res.n_relaxations += 1
-            queue = [(nq, shifted) for nq in
-                     relax(q, split_method, card, index.tmax, alphas)] + queue
+            queue.extendleft(
+                (nq, shifted) for nq in reversed(
+                    relax(q, split_method, card, index.tmax, alphas)))
 
     res.hist = convolve_all(
         [Histogram.from_values(s.xs, hist_h) for s in subs])

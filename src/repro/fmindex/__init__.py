@@ -4,8 +4,7 @@ The paper represents the trajectory set as a string
 ``T = P_tr0 $ P_tr1 $ ... $`` over the alphabet ``E ∪ {$}`` and answers
 "which suffixes start with path P" via FM-index backward search
 (Procedure 2), with the Burrows-Wheeler transform held in a wavelet
-tree.  This package provides suffix-array construction (driver numpy
-prefix doubling and an equivalent distributed DataFrame prefix
+tree.  This package provides suffix-array construction (numpy prefix
 doubling), the BWT with an occ-list rank structure (the wavelet-tree
 replacement — identical rank answers in O(log n)), and the
 :class:`~repro.fmindex.fm.FMIndex` backward search.
@@ -15,5 +14,4 @@ from repro.fmindex.fm import FMIndex  # noqa: F401
 from repro.fmindex.suffix_array import (  # noqa: F401
     inverse_suffix_array,
     suffix_array,
-    suffix_array_spark,
 )

@@ -19,18 +19,19 @@ from repro.fmindex.suffix_array import inverse_suffix_array, suffix_array
 
 
 class FMIndex:
-    """FM-index of an integer trajectory string (``$`` = 0 terminators)."""
+    """FM-index of an integer trajectory string (``$`` = 0 terminators).
 
-    def __init__(self, s: np.ndarray, alphabet_size: int,
-                 sa: np.ndarray | None = None):
+    The served index keeps only ``C``, the rank structure and ``n``.
+    ``isa`` is left for index construction, which reads the ISA value of
+    every leaf and then deletes it.
+    """
+
+    def __init__(self, s: np.ndarray, alphabet_size: int):
         s = np.asarray(s, dtype=np.int64)
-        if sa is None:
-            sa = suffix_array(s)
-        self.sa = np.asarray(sa, dtype=np.int64)
-        self.isa = inverse_suffix_array(self.sa)
-        self.bwt = bwt_from_sa(s, self.sa)
+        sa = suffix_array(s)
+        self.isa = inverse_suffix_array(sa)
         self.C = symbol_counts(s, alphabet_size)
-        self.rank = OccRank(self.bwt)
+        self.rank = OccRank(bwt_from_sa(s, sa))
         self.n = len(s)
 
     def isa_range(self, path: Sequence[int]) -> tuple[int, int]:
@@ -38,11 +39,15 @@ class FMIndex:
 
         Backward search: initialise with the last path symbol's C-range,
         then fold in the remaining symbols right-to-left via two rank
-        queries per symbol.  O(|P| log) independent of |T|.
+        queries per symbol.  O(|P| log) independent of |T|.  A path with a
+        symbol outside the edge ids ``1..|Σ|-1`` (``$``, negative or
+        unknown ids) matches nothing.
         """
         p = list(path)
         if not p:
             return (0, self.n)
+        if min(p) < 1 or max(p) >= len(self.C) - 1:
+            return (0, 0)
         c = int(p[-1])
         st = int(self.C[c])
         ed = int(self.C[c + 1])
@@ -53,11 +58,6 @@ class FMIndex:
             if st >= ed:
                 return (0, 0)
         return (st, ed)
-
-    def count(self, path: Sequence[int]) -> int:
-        """Exact number of strict traversals of ``path`` (``ed - st``)."""
-        st, ed = self.isa_range(path)
-        return ed - st
 
     def memory_report(self) -> dict[str, int]:
         """Bytes per Fig.-10 component: C counter and rank structure (WT)."""

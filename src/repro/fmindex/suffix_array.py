@@ -1,26 +1,17 @@
-"""Suffix-array construction: numpy prefix doubling + Spark DataFrame version.
+"""Suffix-array construction by numpy prefix doubling.
 
 The paper builds its suffix array with the induced-sorting sais-lite
-library (C).  We provide two equivalent builders:
+library (C).  :func:`suffix_array` is a driver-side numpy prefix
+doubling, O(n log n) rounds of ``lexsort``; it handles the
+multi-million-symbol trajectory strings of the bench scale in seconds.
 
-* :func:`suffix_array` — driver-side numpy prefix doubling,
-  O(n log n) rounds of ``lexsort``; handles the multi-million-symbol
-  trajectory strings of the bench scale in seconds.
-* :func:`suffix_array_spark` — the same prefix-doubling recurrence
-  expressed as an iterative DataFrame dataflow (self-join on
-  ``pos + 2^k`` and re-ranking), demonstrating that index construction
-  distributes; tested equivalent to the numpy builder.
-
-Both sort *all* suffixes of the full string including the ``$``
+It sorts *all* suffixes of the full string including the ``$``
 terminators, which (being the smallest symbol) land at the front of the
 order — matching the paper's Figure 3 layout.
 """
 from __future__ import annotations
 
 import numpy as np
-from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
-from pyspark.sql.window import Window
 
 
 def suffix_array(s: np.ndarray) -> np.ndarray:
@@ -64,40 +55,3 @@ def inverse_suffix_array(sa: np.ndarray) -> np.ndarray:
     isa[sa] = np.arange(len(sa), dtype=np.int64)
     return isa
 
-
-def suffix_array_spark(spark: SparkSession, s: np.ndarray,
-                       max_rounds: int = 64) -> np.ndarray:
-    """Prefix-doubling suffix array as an iterative DataFrame dataflow.
-
-    Each round self-joins the (pos, rank) relation on ``pos + 2^k`` to
-    form (rank, rank2) pairs and re-ranks with a ``dense_rank`` window.
-    The global window is a known single-partition bottleneck of the
-    re-rank step; the join (the data-heavy part) distributes.  Used to
-    validate that construction is expressible in the DataFrame API —
-    large builds use the numpy builder (see DESIGN.md sec. 5).
-    """
-    import pandas as pd
-
-    s = np.asarray(s, dtype=np.int64)
-    n = len(s)
-    if n == 0:
-        return np.empty(0, dtype=np.int64)
-    df = spark.createDataFrame(
-        pd.DataFrame({"pos": np.arange(n, dtype=np.int64), "sym": s}))
-    w = Window.orderBy("sym")
-    df = df.select("pos", (F.dense_rank().over(w) - 1).alias("rank"))
-    k = 1
-    for _ in range(max_rounds):
-        nxt = df.select(F.col("pos").alias("pos2"), F.col("rank").alias("r2"))
-        joined = (df.join(nxt, F.col("pos") + k == F.col("pos2"), "left")
-                  .select("pos", "rank",
-                          F.coalesce("r2", F.lit(-1)).alias("rank2")))
-        w2 = Window.orderBy("rank", "rank2")
-        df = joined.select(
-            "pos", (F.dense_rank().over(w2) - 1).alias("rank")).cache()
-        max_rank = df.agg(F.max("rank")).collect()[0][0]
-        if max_rank == n - 1:
-            break
-        k *= 2
-    out = df.orderBy("rank").select("pos").toPandas()["pos"].to_numpy()
-    return out.astype(np.int64)

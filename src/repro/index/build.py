@@ -33,8 +33,7 @@ from pyspark.sql.window import Window
 
 from repro.core.intervals import DAY
 from repro.fmindex.fm import FMIndex
-from repro.fmindex.suffix_array import suffix_array_spark
-from repro.index.snt import SNTIndex
+from repro.index.snt import TOD_BUCKET, SNTIndex
 from repro.network.graph import RoadNetwork
 from repro.temporal.forest import TemporalForest
 
@@ -42,9 +41,7 @@ LEAF_COLUMNS = ["w", "pos", "e", "t", "tt", "a", "seq", "d", "u"]
 
 
 def _assemble(net: RoadNetwork, leaves: pd.DataFrame, n_w: int, *,
-              backend: str, tod_bucket: float, use_spark_sa: bool = False,
-              spark: SparkSession | None = None,
-              keep_sa: bool = False) -> SNTIndex:
+              backend: str) -> SNTIndex:
     """Driver-side assembly: strings -> FM-indexes -> ISA -> forest/U/ToD."""
     alphabet = net.n_edges + 1
     fms: list[FMIndex] = []
@@ -57,11 +54,9 @@ def _assemble(net: RoadNetwork, leaves: pd.DataFrame, n_w: int, *,
         n_traj_w = leaves.loc[mask, "d"].nunique()
         string = np.zeros(len(pos) + n_traj_w, dtype=np.int64)  # $=0 gaps
         string[pos] = sym
-        sa = suffix_array_spark(spark, string) if use_spark_sa else None
-        fm = FMIndex(string, alphabet, sa=sa)
+        fm = FMIndex(string, alphabet)
         leaves.loc[mask, "isa"] = fm.isa[pos]
-        if not keep_sa:
-            fm.sa = fm.isa = None  # the served index stores only C + rank
+        del fm.isa  # the served index stores only C + rank
         fms.append(fm)
 
     forest = TemporalForest(
@@ -73,32 +68,30 @@ def _assemble(net: RoadNetwork, leaves: pd.DataFrame, n_w: int, *,
     user_of = np.full(int(d_arr.max()) + 1, -1, dtype=np.int64)
     user_of[d_arr] = u_arr
 
-    n_buckets = int(np.ceil(DAY / tod_bucket))
-    bucket = ((leaves["t"].to_numpy() % DAY) // tod_bucket).astype(np.int64)
-    tod_hist: dict[tuple[int, int], np.ndarray] = {}
-    grp = pd.DataFrame({
-        "w": leaves["w"].to_numpy(), "e": leaves["e"].to_numpy(),
-        "bucket": np.minimum(bucket, n_buckets - 1),
-    }).groupby(["w", "e", "bucket"]).size()
-    for (w, e, b), cnt in grp.items():
-        h = tod_hist.setdefault((int(w), int(e)), np.zeros(n_buckets))
-        h[int(b)] += cnt
-        agg = tod_hist.setdefault((-1, int(e)), np.zeros(n_buckets))
-        agg[int(b)] += cnt
+    # ToD store: one row of bucket counts per (w, e) pair with entries
+    n_buckets = int(np.ceil(DAY / TOD_BUCKET))
+    bucket = ((leaves["t"].to_numpy() % DAY) // TOD_BUCKET).astype(np.int64)
+    bucket = np.minimum(bucket, n_buckets - 1)
+    we = (leaves["w"].to_numpy(dtype=np.int64) * alphabet
+          + leaves["e"].to_numpy(dtype=np.int64))
+    keys, row = np.unique(we, return_inverse=True)
+    counts = np.bincount(row * n_buckets + bucket,
+                         minlength=len(keys) * n_buckets)
+    counts = counts.reshape(len(keys), n_buckets).astype(np.float64)
+    tod_hist = {(int(k) // alphabet, int(k) % alphabet): counts[i]
+                for i, k in enumerate(keys)}
 
     tmax = float(leaves["t"].max() + leaves["tt"].max())
-    return SNTIndex(net, fms, forest, user_of, tod_hist, tod_bucket, tmax)
+    return SNTIndex(net, fms, forest, user_of, tod_hist, tmax)
 
 
 def build_index(spark: SparkSession, net: RoadNetwork, traversals: DataFrame,
-                *, partition_days: float | None = None, backend: str = "css",
-                tod_bucket: float = 600.0, use_spark_sa: bool = False,
-                keep_sa: bool = False) -> SNTIndex:
+                *, partition_days: float | None = None,
+                backend: str = "css") -> SNTIndex:
     """Build the adapted SNT-index with the Spark dataflow.
 
     ``partition_days=None`` is the paper's FULL (single-partition)
-    configuration; ``backend`` selects the temporal tree ("css"/"bt");
-    ``keep_sa`` retains suffix arrays for white-box tests.
+    configuration; ``backend`` selects the temporal tree ("css"/"bt").
     """
     span = (partition_days * DAY) if partition_days else None
 
@@ -128,15 +121,12 @@ def build_index(spark: SparkSession, net: RoadNetwork, traversals: DataFrame,
                .select(*LEAF_COLUMNS))
 
     leaves = leaf_df.toPandas()
-    return _assemble(net, leaves, len(wmap_pdf), backend=backend,
-                     tod_bucket=tod_bucket, use_spark_sa=use_spark_sa,
-                     spark=spark, keep_sa=keep_sa)
+    return _assemble(net, leaves, len(wmap_pdf), backend=backend)
 
 
 def build_index_local(net: RoadNetwork, traversals: pd.DataFrame, *,
                       partition_days: float | None = None,
-                      backend: str = "css", tod_bucket: float = 600.0,
-                      keep_sa: bool = False) -> SNTIndex:
+                      backend: str = "css") -> SNTIndex:
     """Pandas twin of :func:`build_index` (same recurrences, no Spark)."""
     span = (partition_days * DAY) if partition_days else None
     trav = traversals.copy()
@@ -156,8 +146,7 @@ def build_index_local(net: RoadNetwork, traversals: pd.DataFrame, *,
     trav = trav.sort_values(["d", "seq"], kind="stable")
     trav["a"] = trav.groupby("d")["tt"].cumsum()
     trav["pos"] = trav["offset"] + trav["seq"]
-    return _assemble(net, trav[LEAF_COLUMNS], len(wvals), backend=backend,
-                     tod_bucket=tod_bucket, keep_sa=keep_sa)
+    return _assemble(net, trav[LEAF_COLUMNS], len(wvals), backend=backend)
 
 
 def build_index_timed(spark: SparkSession, net: RoadNetwork,

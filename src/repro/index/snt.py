@@ -22,6 +22,9 @@ from repro.fmindex.fm import FMIndex
 from repro.network.graph import RoadNetwork
 from repro.temporal.forest import TemporalForest
 
+#: Width of a time-of-day histogram bucket, seconds (144 buckets a day).
+TOD_BUCKET = 600.0
+
 
 @dataclass
 class TravelTimeResult:
@@ -40,15 +43,13 @@ class SNTIndex:
 
     def __init__(self, net: RoadNetwork, fms: list[FMIndex],
                  forest: TemporalForest, user_of: np.ndarray,
-                 tod_hist: dict[tuple[int, int], np.ndarray],
-                 tod_bucket: float, tmax: float):
+                 tod_hist: dict[tuple[int, int], np.ndarray], tmax: float):
         self.net = net
         self.fms = fms
         self.forest = forest
         self.user_of = user_of
-        #: {(w, e): bucket counts}; key (-1, e) is the all-partition sum
+        #: {(w, e): ToD bucket counts of segment e in partition w}
         self.tod_hist = tod_hist
-        self.tod_bucket = float(tod_bucket)
         self.tmax = float(tmax)
 
     @property
@@ -101,30 +102,21 @@ class SNTIndex:
         return TravelTimeResult(xs)
 
     # -- estimator support ------------------------------------------------
-    def tod_histogram(self, e: int, w: int = -1) -> np.ndarray | None:
-        """ToD bucket counts of segment ``e`` (partition ``w``, -1 = all)."""
-        return self.tod_hist.get((w, e))
-
-    def tod_selectivity(self, e: int, interval: Interval,
-                        per_partition: bool) -> float:
+    def tod_selectivity(self, e: int, interval: Interval) -> float:
         """Eq. 2: fraction of segment entries inside the periodic window.
 
-        ``per_partition=True`` models the partitioned histogram store:
-        the scan walks every partition's histogram (the cost the paper
-        blames for CSS-Acc degrading at small partitions); the summed
-        counts are identical to the aggregate histogram.
+        The scan walks every partition's histogram of ``e`` — the cost the
+        paper blames for CSS-Acc degrading at small partitions.
         """
-        keys = ([(w, e) for w in range(self.n_partitions)]
-                if per_partition and self.n_partitions > 1 else [(-1, e)])
         tot = sel = 0.0
-        for k in keys:
-            h = self.tod_hist.get(k)
+        for w in range(self.n_partitions):
+            h = self.tod_hist.get((w, e))
             if h is None:
                 continue
             tot += h.sum()
             for lo, hi in interval.tod_ranges():
-                b0 = int(lo // self.tod_bucket)
-                b1 = min(len(h), int(np.ceil(hi / self.tod_bucket)))
+                b0 = int(lo // TOD_BUCKET)
+                b1 = min(len(h), int(np.ceil(hi / TOD_BUCKET)))
                 sel += h[b0:b1].sum()
         if tot == 0:
             return interval.size / DAY
@@ -146,7 +138,8 @@ class SNTIndex:
 
     # -- memory accounting (Fig. 10) -------------------------------------
     def memory_report(self) -> dict[str, int]:
-        """Bytes per component: C, WT (rank structure), user map, Forest."""
+        """Bytes per component: C, WT (rank structure), user map, Forest
+        and the ToD histogram store actually held."""
         rep = {"C": 0, "WT": 0}
         for fm in self.fms:
             m = fm.memory_report()
@@ -154,19 +147,14 @@ class SNTIndex:
             rep["WT"] += m["WT"]
         rep["user"] = int(self.user_of.nbytes)
         rep["Forest"] = self.forest.memory_report()["Forest"]
+        rep["ToD"] = sum(int(h.nbytes) for h in self.tod_hist.values())
         return rep
 
-    def tod_store_bytes(self, h_seconds: float,
-                        per_partition: bool = True) -> int:
+    def tod_store_bytes(self, h_seconds: float) -> int:
         """Fig. 10b: ToD-histogram store size at bucket width ``h_seconds``.
 
         One dense array of ``ceil(DAY / h)`` float64 buckets per
-        (non-empty partition, segment) pair — or per segment when the
-        store is not partitioned.
+        (non-empty partition, segment) pair.
         """
         n_buckets = int(np.ceil(DAY / h_seconds))
-        if per_partition and self.n_partitions > 1:
-            n_hists = sum(1 for (w, _e) in self.tod_hist if w >= 0)
-        else:
-            n_hists = sum(1 for (w, _e) in self.tod_hist if w == -1)
-        return n_hists * (n_buckets * 8 + 16)
+        return len(self.tod_hist) * (n_buckets * 8 + 16)

@@ -65,14 +65,6 @@ class RoadNetwork:
         """Number of real edges (edge ids are 1..n_edges)."""
         return len(self.cat) - 1
 
-    def category(self, e: int) -> str:
-        """Category name of edge ``e``."""
-        return CATEGORIES[self.cat[e]]
-
-    def zone_name(self, e: int) -> str:
-        """Zone name of edge ``e``."""
-        return ZONES[self.zone[e]]
-
     def is_main_road(self, e: int) -> bool:
         """True if ``e`` is a main road (motorway/trunk/primary) — pi_MDM."""
         return CATEGORIES[self.cat[e]] in MAIN_ROAD_CATEGORIES
@@ -215,21 +207,3 @@ def make_network(specs: list[tuple[str, str, float, float]],
     net.out_edges = out
     return net
 
-
-def edge_attributes_df(spark, net: RoadNetwork):
-    """Edge attribute table as a Spark DataFrame (id, category, zone, sl, l).
-
-    This is the DataFrame face of the network used by index construction
-    (zone/category lookups in the dataflow) and by tests.
-    """
-    import pandas as pd
-
-    e = np.arange(1, net.n_edges + 1)
-    pdf = pd.DataFrame({
-        "e": e,
-        "category": [CATEGORIES[c] for c in net.cat[1:]],
-        "zone": [ZONES[z] for z in net.zone[1:]],
-        "speed_limit": net.speed_limit[1:],
-        "length": net.length[1:],
-    })
-    return spark.createDataFrame(pdf)

@@ -45,15 +45,14 @@ class SegmentLeaves:
     seq: np.ndarray
     w: np.ndarray
     backend: str = "css"
-    tod: np.ndarray = field(init=False)
     tod_order: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        self.tod = self.t % DAY
-        self.tod_order = np.argsort(self.tod, kind="stable").astype(np.int64)
+        tod = self.t % DAY
+        self.tod_order = np.argsort(tod, kind="stable").astype(np.int64)
         tree_cls = CSSTree if self.backend == "css" else BPlusTree
         self.t_tree = tree_cls(self.t)
-        self.tod_tree = tree_cls(self.tod[self.tod_order])
+        self.tod_tree = tree_cls(tod[self.tod_order])
         key = self.d.astype(np.int64) * _SEQ_STRIDE + self.seq.astype(np.int64)
         self._dseq_order = np.argsort(key, kind="stable")
         self._dseq_sorted = key[self._dseq_order]
@@ -72,13 +71,6 @@ class SegmentLeaves:
             parts.append(self.tod_order[lo:hi])
         return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
 
-    def count_in(self, interval: Interval) -> int:
-        """Exact leaf count under the temporal predicate (tree counts only)."""
-        if not interval.periodic:
-            return self.t_tree.range_count(interval.ts, interval.te)
-        return sum(self.tod_tree.range_count(lo, hi)
-                   for lo, hi in interval.tod_ranges())
-
     def find(self, d: int, seq: int) -> int:
         """Row index of trajectory ``d``'s record at sequence ``seq``, or -1."""
         key = int(d) * _SEQ_STRIDE + int(seq)
@@ -91,9 +83,12 @@ class SegmentLeaves:
         """(leaf array bytes, tree/auxiliary bytes) for the memory report."""
         leaf = sum(int(arr.nbytes) for arr in
                    (self.t, self.isa, self.d, self.tt, self.a, self.seq, self.w))
-        aux = (self.tod.nbytes + self.tod_order.nbytes +
+        aux = (self.tod_order.nbytes +
                self._dseq_order.nbytes + self._dseq_sorted.nbytes +
                self.t_tree.nbytes() + self.tod_tree.nbytes())
+        if isinstance(self.tod_tree, CSSTree):
+            # its key array is a ToD-ordered copy; t_tree's keys are ``t``
+            aux += self.tod_tree.keys.nbytes
         return leaf, int(aux)
 
 

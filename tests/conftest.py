@@ -53,7 +53,7 @@ def paper_traversals():
 
 @pytest.fixture(scope="session")
 def paper_index(paper_net, paper_traversals):
-    return build_index_local(paper_net, paper_traversals, keep_sa=True)
+    return build_index_local(paper_net, paper_traversals)
 
 
 @pytest.fixture(scope="session")

@@ -136,19 +136,10 @@ def test_bt_forest_larger_than_css(spark, spark_dataset):
     assert bt.memory_report()["Forest"] > css.memory_report()["Forest"]
 
 
-def test_spark_sa_equivalence_small(spark, small_net, small_traversals):
-    sub = small_traversals[small_traversals["d"] < 12]
-    local = build_index_local(small_net, sub, keep_sa=True)
-    df = spark.createDataFrame(sub)
-    via_spark_sa = build_index(spark, small_net, df, use_spark_sa=True,
-                               keep_sa=True)
-    assert np.array_equal(local.fms[0].sa, via_spark_sa.fms[0].sa)
-
-
 def test_isa_suffix_property(spark, small_net, small_traversals):
     """Every traversal's ISA lies inside the ISA range of its own suffix path."""
     sub = small_traversals[small_traversals["d"] < 30]
-    idx = build_index_local(small_net, sub, keep_sa=True)
+    idx = build_index_local(small_net, sub)
     pdf = sub.sort_values(["d", "seq"])
     rng = np.random.default_rng(4)
     for d in rng.choice(pdf["d"].unique(), 8, replace=False):

@@ -95,13 +95,13 @@ def test_isa_overestimates_periodic_counts(small_index):
     assert np.mean(np.log10(qe["ISA"])) > np.mean(np.log10(qe["CSS-Acc"]))
 
 
-def test_acc_per_partition_scan_equals_aggregate(small_net, small_traversals):
-    """Partitioned-store scans must sum to the aggregate selectivity."""
+def test_acc_partitioned_scan_equals_full(small_net, small_traversals):
+    """Partitioned-store scans must sum to the FULL index's selectivity."""
     from repro.index.build import build_index_local
     full = build_index_local(small_net, small_traversals)
     part = build_index_local(small_net, small_traversals, partition_days=180)
     assert part.n_partitions > 1
     seg = next(iter(full.forest.segments))
     ivl = periodic(7 * 3600, 9 * 3600)
-    assert part.tod_selectivity(seg, ivl, True) == pytest.approx(
-        full.tod_selectivity(seg, ivl, False))
+    assert part.tod_selectivity(seg, ivl) == pytest.approx(
+        full.tod_selectivity(seg, ivl))

@@ -37,12 +37,12 @@ def test_both_directions_share_attributes(net):
 
 
 def test_has_heterogeneous_categories(net):
-    cats = {net.category(e) for e in range(1, net.n_edges + 1)}
+    cats = {CATEGORIES[c] for c in net.cat[1:]}
     assert "motorway" in cats and len(cats) >= 4
 
 
 def test_has_city_and_rural_zones(net):
-    zones = {net.zone_name(e) for e in range(1, net.n_edges + 1)}
+    zones = {ZONES[z] for z in net.zone[1:]}
     assert {"city", "rural"} <= zones
 
 
@@ -67,7 +67,7 @@ def test_is_main_road(net):
     mains = [e for e in range(1, net.n_edges + 1) if net.is_main_road(e)]
     assert mains
     for e in mains[:20]:
-        assert net.category(e) in MAIN_ROAD_CATEGORIES
+        assert CATEGORIES[net.cat[e]] in MAIN_ROAD_CATEGORIES
 
 
 def test_deterministic_build():
@@ -81,18 +81,10 @@ def test_make_network_explicit():
     net = make_network([("motorway", "rural", 110.0, 900.0),
                         ("primary", "city", 50.0, 120.0)])
     assert net.n_edges == 2
-    assert net.category(1) == "motorway" and net.zone_name(2) == "city"
+    assert CATEGORIES[net.cat[1]] == "motorway"
+    assert ZONES[net.zone[2]] == "city"
 
 
 def test_edge_ids_reserve_zero(net):
     # id 0 is the $ sentinel with dummy attributes
     assert net.cat[0] == 0 and net.length[0] == 1.0
-
-
-@pytest.mark.spark
-def test_edge_attributes_df(spark, net):
-    from repro.network.graph import edge_attributes_df
-    df = edge_attributes_df(spark, net)
-    assert df.count() == net.n_edges
-    row = df.filter("e = 1").collect()[0]
-    assert row["category"] in CATEGORIES and row["zone"] in ZONES

@@ -1,4 +1,4 @@
-"""Histogram bucketing, convolution, counts and likelihood support."""
+"""Histogram bucketing, convolution and likelihood support."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -38,20 +38,6 @@ def test_bucket_width_10s():
 def test_total_and_mean():
     h = Histogram.from_values([10, 20, 30], h=10.0)
     assert h.total == 3
-    assert h.mean() == pytest.approx(25.0)  # midpoints 15, 25, 35
-
-
-def test_min_max_value():
-    h = Histogram.from_values([12, 37], h=10.0)
-    assert h.min_value() == 10.0
-    assert h.max_value() == 40.0
-
-
-def test_bucket_count_range():
-    h = Histogram.from_values([5, 15, 25, 35], h=10.0)
-    assert h.bucket_count(10, 30) == 2.0
-    assert h.bucket_count(0, 100) == 4.0
-    assert h.bucket_count(40, 10) == 0.0
 
 
 def test_density_at():

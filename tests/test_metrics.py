@@ -4,8 +4,8 @@ import math
 import pytest
 
 from repro.core.histogram import Histogram
-from repro.core.metrics import (log_likelihood, q_error, smape, smape_term,
-                                weighted_error, weighted_error_term)
+from repro.core.metrics import (log_likelihood, q_error, smape_term,
+                                weighted_error_term)
 
 
 def test_smape_term_zero_for_exact():
@@ -26,14 +26,6 @@ def test_smape_bounded_by_200():
     assert smape_term(1e9, 0.0001) < 200.0000001
 
 
-def test_smape_mean_over_queries():
-    assert smape([90, 100], [110, 100]) == pytest.approx(10.0)
-
-
-def test_smape_empty_is_nan():
-    assert math.isnan(smape([], []))
-
-
 def test_weighted_error_term_weights_by_length():
     # sub 1: exact (error 0), weight 0.75; sub 2: 20% error, weight 0.25
     t = weighted_error_term([100, 90], [100, 110], [300, 100])
@@ -42,10 +34,6 @@ def test_weighted_error_term_weights_by_length():
 
 def test_weighted_error_degenerate_zero_length():
     assert weighted_error_term([1], [2], [0]) == 0.0
-
-
-def test_weighted_error_mean():
-    assert weighted_error([10, 20]) == pytest.approx(15.0)
 
 
 def test_log_likelihood_in_bucket_beats_out_of_bucket():

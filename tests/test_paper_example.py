@@ -29,9 +29,13 @@ def test_trajectory_string_layout(paper_index):
 
 
 def test_bwt_matches_figure3(paper_index):
+    # the index keeps only the rank structure; Tbwt[i] is the one symbol
+    # whose rank grows between positions i and i + 1
     fm = paper_index.fms[0]
     sym = "$ABCDEF"
-    assert "".join(sym[c] for c in fm.bwt) == "EFEE$$$$AAAACBDBB"
+    bwt = "".join(sym[c] for i in range(fm.n) for c in range(len(sym))
+                  if fm.rank.rank(c, i + 1) > fm.rank.rank(c, i))
+    assert bwt == "EFEE$$$$AAAACBDBB"
 
 
 @pytest.mark.parametrize("path,expected", [

@@ -45,6 +45,13 @@ def test_empty_isa_single_segment_falls_back(paper_net, paper_traversals):
     assert r.xs == [pytest.approx(3.6 * 60.0 / 30.0)]
 
 
+@pytest.mark.parametrize("path", [[-1], [0], [7], [A, 0], [99, B], [A, -3]])
+def test_non_edge_symbols_match_nothing(paper_index, path):
+    # edge ids are 1..6; 0 is the $ terminator
+    assert paper_index.fms[0].isa_range(path) == (0, 0)
+    assert paper_index.path_count(path) == 0
+
+
 def test_isa_ranges_shape(paper_index):
     r = paper_index.isa_ranges([A])
     assert r.shape == (1, 2) and tuple(r[0]) == (4, 8)
@@ -52,31 +59,81 @@ def test_isa_ranges_shape(paper_index):
 
 def test_memory_report_components(paper_index):
     rep = paper_index.memory_report()
-    assert set(rep) == {"C", "WT", "user", "Forest"}
+    assert set(rep) == {"C", "WT", "user", "Forest", "ToD"}
     assert all(v > 0 for v in rep.values())
 
 
-def test_tod_histogram_aggregate(paper_index):
-    h = paper_index.tod_histogram(A)
-    assert h is not None and h.sum() == 4  # four A-traversals
-    assert paper_index.tod_histogram(A, w=0).sum() == 4
+def _array_bytes(root, skip) -> int:
+    """Bytes of every numpy buffer reachable from ``root``, each counted
+    once (views resolve to the array owning their memory)."""
+    seen = {id(o) for o in skip}
+    owners: set[int] = set()
+    total = 0
+    stack = [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (int, float, str, np.generic)):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            base = obj
+            while isinstance(base.base, np.ndarray):
+                base = base.base
+            if id(base) not in owners:
+                owners.add(id(base))
+                total += base.nbytes
+        elif isinstance(obj, dict):
+            stack.extend(obj.values())
+        elif isinstance(obj, (list, tuple)):
+            stack.extend(obj)
+        elif hasattr(obj, "__dict__"):
+            stack.extend(vars(obj).values())
+    return total
+
+
+def test_memory_report_counts_every_array(small_index):
+    walked = _array_bytes(small_index, skip=(small_index.net,))
+    reported = sum(small_index.memory_report().values())
+    assert reported == pytest.approx(walked, rel=0.01)
+
+
+def test_tod_store_per_partition(paper_index):
+    # one histogram per (partition, segment) pair; four A-traversals
+    assert set(paper_index.tod_hist) == {(0, e) for e in range(1, 7)}
+    assert paper_index.tod_hist[(0, A)].sum() == 4
+    assert paper_index.memory_report()["ToD"] == 6 * 144 * 8
+
+
+def test_tod_store_matches_leaf_loop(small_net, small_traversals):
+    """The vectorised store equals bucket counting leaf by leaf."""
+    from repro.index.build import build_index_local
+    idx = build_index_local(small_net, small_traversals, partition_days=180)
+    assert idx.n_partitions > 1
+    ref = {}
+    for e, lv in idx.forest.segments.items():
+        for t, w in zip(lv.t, lv.w):
+            h = ref.setdefault((int(w), e), np.zeros(144))
+            h[min(int(t % DAY // 600), 143)] += 1
+    assert set(idx.tod_hist) == set(ref)
+    for k, h in ref.items():
+        assert np.array_equal(idx.tod_hist[k], h)
 
 
 def test_tod_selectivity_full_day_is_one(paper_index):
-    assert paper_index.tod_selectivity(A, periodic(0, DAY), False) == \
+    assert paper_index.tod_selectivity(A, periodic(0, DAY)) == \
         pytest.approx(1.0)
 
 
 def test_tod_selectivity_concentrated(paper_index):
     # all example timestamps are within the first ToD bucket
-    sel = paper_index.tod_selectivity(A, periodic(0, 600), False)
+    sel = paper_index.tod_selectivity(A, periodic(0, 600))
     assert sel == pytest.approx(1.0)
-    sel = paper_index.tod_selectivity(A, periodic(40000, 40600), False)
+    sel = paper_index.tod_selectivity(A, periodic(40000, 40600))
     assert sel == 0.0
 
 
 def test_tod_selectivity_unknown_segment_uses_uniform(paper_index):
-    sel = paper_index.tod_selectivity(999, periodic(0, DAY / 4), False)
+    sel = paper_index.tod_selectivity(999, periodic(0, DAY / 4))
     assert sel == pytest.approx(0.25)
 
 

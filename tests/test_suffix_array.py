@@ -1,4 +1,4 @@
-"""Suffix-array builders: property tests vs brute force + ISA inverse."""
+"""Suffix-array construction: property tests vs brute force + ISA inverse."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -67,19 +67,3 @@ def test_multi_terminator_string():
     s = np.array([1, 2, 0, 1, 2, 0, 3, 0])
     assert list(suffix_array(s)) == brute_sa(s)
 
-
-@pytest.mark.spark
-def test_spark_prefix_doubling_equivalent(spark):
-    from repro.fmindex.suffix_array import suffix_array_spark
-    rng = np.random.default_rng(7)
-    s = rng.integers(1, 5, size=40)
-    s[-1] = 0
-    assert list(suffix_array_spark(spark, s)) == list(suffix_array(s))
-
-
-@pytest.mark.spark
-def test_spark_prefix_doubling_paper_string(spark):
-    from repro.fmindex.suffix_array import suffix_array_spark
-    m = {c: i for i, c in enumerate("$ABCDEF")}
-    s = np.array([m[c] for c in "ABE$ACDE$ABF$ABE$"])
-    assert list(suffix_array_spark(spark, s)) == brute_sa(s)
