@@ -9,29 +9,14 @@ accuracy materially.
 import numpy as np
 import pytest
 
-from repro.core.cardinality import ESTIMATOR_MODES, CardinalityEstimator
-from repro.core.metrics import q_error
-from repro.workload import evaluate_config, make_spq
-
-
-def _qerrors(index, queries, mode, timeframe_days=365):
-    est = CardinalityEstimator(index, mode)
-    out = []
-    for q in queries:
-        spq = make_spq(q, "temporal", beta=None,
-                       timeframe_days=timeframe_days)
-        sub = spq.with_(path=spq.path[:1])
-        actual = len(index.forest.build_map(
-            sub.path[0], index.isa_ranges(sub.path), sub.interval, None,
-            None, index.user_of, timeframe=sub.timeframe))
-        out.append(q_error(est.estimate(sub), actual))
-    return np.array(out)
+from repro.core.cardinality import ESTIMATOR_MODES
+from repro.workload import evaluate_config, qerrors
 
 
 @pytest.mark.parametrize("mode", ESTIMATOR_MODES)
 def test_bench_qerror(benchmark, bench_env, mode):
     idx, queries = bench_env["index"], bench_env["queries"]
-    qe = benchmark.pedantic(_qerrors, args=(idx, queries[:40], mode),
+    qe = benchmark.pedantic(qerrors, args=(idx, queries[:40], mode),
                             rounds=1, iterations=1)
     assert (qe >= 1).all()
 
@@ -40,8 +25,8 @@ def test_isa_much_worse_than_filtered_modes(benchmark, bench_env):
     idx, queries = bench_env["index"], bench_env["queries"]
 
     def run():
-        isa = np.mean(np.log10(_qerrors(idx, queries[:40], "ISA")))
-        acc = np.mean(np.log10(_qerrors(idx, queries[:40], "CSS-Acc")))
+        isa = np.mean(np.log10(qerrors(idx, queries[:40], "ISA")))
+        acc = np.mean(np.log10(qerrors(idx, queries[:40], "CSS-Acc")))
         return isa, acc
 
     isa, acc = benchmark.pedantic(run, rounds=1, iterations=1)

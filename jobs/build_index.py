@@ -27,8 +27,7 @@ def main() -> None:
     mib = 1024 * 1024
     print_table([{
         "n_partitions": idx.n_partitions, "backend": args.backend,
-        "C_MiB": rep["C"] / mib, "WT_MiB": rep["WT"] / mib,
-        "user_MiB": rep["user"] / mib, "Forest_MiB": rep["Forest"] / mib,
+        **{f"{k}_MiB": v / mib for k, v in rep.items()},
         "setup_s": secs,
     }], "SNT-index build report")
     spark.stop()

@@ -21,20 +21,11 @@ PARTITIONS = [("90", 90.0), ("365", 365.0), ("FULL", None)]
 
 
 def qerror_rows(index, queries):
-    from repro.core.cardinality import ESTIMATOR_MODES, CardinalityEstimator
-    from repro.core.metrics import q_error
-    from repro.workload import make_spq
+    from repro.core.cardinality import ESTIMATOR_MODES
+    from repro.workload import qerrors
     rows = []
     for mode in ESTIMATOR_MODES:
-        est = CardinalityEstimator(index, mode)
-        qes = []
-        for q in queries:
-            spq = make_spq(q, "temporal", beta=None, timeframe_days=365)
-            sub = spq.with_(path=spq.path[:1])
-            actual = len(index.forest.build_map(
-                sub.path[0], index.isa_ranges(sub.path), sub.interval,
-                None, None, index.user_of, timeframe=sub.timeframe))
-            qes.append(q_error(est.estimate(sub), actual))
+        qes = qerrors(index, queries, mode)
         rows.append({"mode": mode,
                      "qerror_log10_mean": float(np.mean(np.log10(qes))),
                      "qerror_median": float(np.median(qes))})

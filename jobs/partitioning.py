@@ -2,9 +2,9 @@
 
 Builds the index at partition sizes 7/30/90/365 days and FULL (single
 partition) with the CSS backend, plus FULL with the B+-tree backend,
-and reports per-component memory (C counter, rank structure 'WT', user
-map, forest), the ToD-histogram store size for bucket widths 1/5/10
-minutes, and wall-clock setup time.
+and reports every component of ``memory_report`` (C counter, rank
+structure 'WT', user map, forest, the ToD store held), the ToD-histogram
+store size for bucket widths 1/5/10 minutes, and wall-clock setup time.
 
     python jobs/partitioning.py --sf 0.1 --out results/partitioning.csv
 """
@@ -35,9 +35,7 @@ def main() -> None:
         rows.append({
             "partition": label, "backend": backend,
             "n_partitions": idx.n_partitions,
-            "C_MiB": rep["C"] / mib, "WT_MiB": rep["WT"] / mib,
-            "user_MiB": rep["user"] / mib,
-            "Forest_MiB": rep["Forest"] / mib,
+            **{f"{k}_MiB": v / mib for k, v in rep.items()},
             "hist_h1min_MiB": idx.tod_store_bytes(60.0) / mib,
             "hist_h5min_MiB": idx.tod_store_bytes(300.0) / mib,
             "hist_h10min_MiB": idx.tod_store_bytes(600.0) / mib,

@@ -16,11 +16,11 @@ every metric of sec. 5.3 plus the Fig. 7 average sub-path length.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.cardinality import CardinalityEstimator
 from repro.core.histogram import Histogram, convolve_all
-from repro.core.intervals import DEFAULT_ALPHAS, shift_and_enlarge
+from repro.core.intervals import shift_and_enlarge
 from repro.core.partitioning import partition
 from repro.core.splitting import relax
 from repro.core.spq import SPQ
@@ -52,7 +52,6 @@ class QueryResult:
     n_index_scans: int = 0
     n_estimates: int = 0
     n_relaxations: int = 0
-    extra: dict = field(default_factory=dict)
 
     @property
     def estimate(self) -> float:
@@ -68,7 +67,7 @@ class QueryResult:
 
 
 def trip_query(index: SNTIndex, spq: SPQ, *, partition_method: str,
-               split_method: str, alphas=DEFAULT_ALPHAS, hist_h: float = 10.0,
+               split_method: str, hist_h: float = 10.0,
                estimator: CardinalityEstimator | None = None,
                exclude_d: int | None = None) -> QueryResult:
     """Procedure 6: compute the travel-time histogram for query ``spq``."""
@@ -109,7 +108,7 @@ def trip_query(index: SNTIndex, spq: SPQ, *, partition_method: str,
                 res.n_relaxations += 1
                 queue.extendleft(
                     (nq, shifted) for nq in reversed(
-                        relax(q, split_method, card, index.tmax, alphas)))
+                        relax(q, split_method, card, index.tmax)))
                 continue
         res.n_index_scans += 1
         r = index.get_travel_times(q.path, q.interval, q.user, q.beta,
@@ -123,7 +122,7 @@ def trip_query(index: SNTIndex, spq: SPQ, *, partition_method: str,
             res.n_relaxations += 1
             queue.extendleft(
                 (nq, shifted) for nq in reversed(
-                    relax(q, split_method, card, index.tmax, alphas)))
+                    relax(q, split_method, card, index.tmax)))
 
     res.hist = convolve_all(
         [Histogram.from_values(s.xs, hist_h) for s in subs])

@@ -16,7 +16,7 @@ paper's observation that such queries keep very long sub-paths.
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
+from typing import Callable
 
 from repro.core.intervals import DEFAULT_ALPHAS, shrink, widen
 from repro.core.spq import SPQ
@@ -52,16 +52,17 @@ def split_longest_prefix(spq: SPQ, card: Callable[[SPQ], int]) -> int:
 
 
 def relax(spq: SPQ, split_method: str, card: Callable[[SPQ], int],
-          tmax: float, alphas: Sequence[float] = DEFAULT_ALPHAS) -> list[SPQ]:
+          tmax: float) -> list[SPQ]:
     """Procedure 1: widen, else split, else drop f, else fixed-interval.
 
     Returns the replacement sub-query sequence for ``spq``.
     """
-    alpha_min, alpha_max = alphas[0], alphas[-1]
+    alpha_min, alpha_max = DEFAULT_ALPHAS[0], DEFAULT_ALPHAS[-1]
     i = spq.interval
     # 1e-6 s tolerances absorb float roundoff from widen/shift-and-enlarge
     if i.periodic and i.size < alpha_max - 1e-6:
-        bigger = next((a for a in alphas if a > i.size + 1e-6), alpha_max)
+        bigger = next((a for a in DEFAULT_ALPHAS if a > i.size + 1e-6),
+                      alpha_max)
         return [spq.with_(interval=widen(i, bigger))]
     if len(spq.path) > 1:
         split_fn = (split_regular if split_method == "regular"

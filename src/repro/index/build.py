@@ -5,8 +5,7 @@ transformations (Catalyst end to end until one collect):
 
 1. *Trajectory summary*: group traversals by trajectory for start time
    ``t0`` and length; assign the temporal partition
-   ``w = floor(t0 / partition_span)`` (sec. 4.3.2) and densify ids via
-   a small dimension join.
+   ``w = floor(t0 / partition_span)`` (sec. 4.3.2).
 2. *String offsets*: within each partition, order trajectories by
    ``(t0, d)``; each trajectory's offset into the partition's
    trajectory string is the window running sum of ``len + 1`` (the
@@ -16,7 +15,8 @@ transformations (Catalyst end to end until one collect):
 
 :func:`build_index_local` is the pandas twin of the same recurrences,
 used by non-Spark unit tests and as the equivalence oracle for the
-Spark dataflow.  Both feed :func:`_assemble`, which materialises the
+Spark dataflow.  Both feed :func:`_assemble`, which densifies the
+partition ids to ``0..W-1`` (in time order), materialises the
 per-partition trajectory strings (unassigned positions are the ``$``
 terminators), builds the FM-indexes, joins ISA values back by position,
 and constructs the forest, the U map and the ToD histogram store.
@@ -40,14 +40,17 @@ from repro.temporal.forest import TemporalForest
 LEAF_COLUMNS = ["w", "pos", "e", "t", "tt", "a", "seq", "d", "u"]
 
 
-def _assemble(net: RoadNetwork, leaves: pd.DataFrame, n_w: int, *,
+def _assemble(net: RoadNetwork, leaves: pd.DataFrame, *,
               backend: str) -> SNTIndex:
     """Driver-side assembly: strings -> FM-indexes -> ISA -> forest/U/ToD."""
     alphabet = net.n_edges + 1
     fms: list[FMIndex] = []
     leaves = leaves.copy()
+    wvals, dense = np.unique(leaves["w"].to_numpy(dtype=np.int64),
+                             return_inverse=True)
+    leaves["w"] = dense.astype(np.int64)
     leaves["isa"] = np.int64(0)
-    for w in range(n_w):
+    for w in range(len(wvals)):
         mask = leaves["w"].to_numpy() == w
         pos = leaves.loc[mask, "pos"].to_numpy(dtype=np.int64)
         sym = leaves.loc[mask, "e"].to_numpy(dtype=np.int64)
@@ -56,7 +59,7 @@ def _assemble(net: RoadNetwork, leaves: pd.DataFrame, n_w: int, *,
         string[pos] = sym
         fm = FMIndex(string, alphabet)
         leaves.loc[mask, "isa"] = fm.isa[pos]
-        del fm.isa  # the served index stores only C + rank
+        del fm.isa  # the served index stores only C + occ
         fms.append(fm)
 
     forest = TemporalForest(
@@ -100,14 +103,9 @@ def build_index(spark: SparkSession, net: RoadNetwork, traversals: DataFrame,
         (F.max("seq") + F.lit(1)).alias("len"),
     )
     if span:
-        tl = tl.withColumn("wraw", F.floor(F.col("t0") / F.lit(span)))
+        tl = tl.withColumn("w", F.floor(F.col("t0") / F.lit(span)))
     else:
-        tl = tl.withColumn("wraw", F.lit(0).cast("long"))
-
-    wmap_pdf = (tl.select("wraw").distinct().toPandas()
-                .sort_values("wraw").reset_index(drop=True))
-    wmap_pdf["w"] = np.arange(len(wmap_pdf), dtype=np.int64)
-    tl = tl.join(spark.createDataFrame(wmap_pdf), "wraw")
+        tl = tl.withColumn("w", F.lit(0).cast("long"))
 
     off_win = Window.partitionBy("w").orderBy("t0", "d")
     tl = tl.withColumn(
@@ -120,8 +118,7 @@ def build_index(spark: SparkSession, net: RoadNetwork, traversals: DataFrame,
                .withColumn("pos", F.col("offset") + F.col("seq"))
                .select(*LEAF_COLUMNS))
 
-    leaves = leaf_df.toPandas()
-    return _assemble(net, leaves, len(wmap_pdf), backend=backend)
+    return _assemble(net, leaf_df.toPandas(), backend=backend)
 
 
 def build_index_local(net: RoadNetwork, traversals: pd.DataFrame, *,
@@ -133,11 +130,8 @@ def build_index_local(net: RoadNetwork, traversals: pd.DataFrame, *,
     tl = (trav.groupby(["d", "u"], as_index=False)
           .agg(t0=("t", "min"), len_=("seq", "max")))
     tl["len_"] += 1
-    tl["wraw"] = (np.floor(tl["t0"] / span).astype(np.int64)
-                  if span else np.int64(0))
-    wvals = np.sort(tl["wraw"].unique())
-    wmap = {int(v): i for i, v in enumerate(wvals)}
-    tl["w"] = tl["wraw"].map(wmap).astype(np.int64)
+    tl["w"] = (np.floor(tl["t0"] / span).astype(np.int64)
+               if span else np.int64(0))
     tl = tl.sort_values(["w", "t0", "d"], kind="stable")
     tl["offset"] = (tl.groupby("w")["len_"].transform(
         lambda s: (s + 1).cumsum()) - (tl["len_"] + 1))
@@ -146,7 +140,7 @@ def build_index_local(net: RoadNetwork, traversals: pd.DataFrame, *,
     trav = trav.sort_values(["d", "seq"], kind="stable")
     trav["a"] = trav.groupby("d")["tt"].cumsum()
     trav["pos"] = trav["offset"] + trav["seq"]
-    return _assemble(net, trav[LEAF_COLUMNS], len(wvals), backend=backend)
+    return _assemble(net, trav[LEAF_COLUMNS], backend=backend)
 
 
 def build_index_timed(spark: SparkSession, net: RoadNetwork,

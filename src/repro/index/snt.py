@@ -33,10 +33,6 @@ class TravelTimeResult:
     xs: list[float]
     fallback: bool = False
 
-    @property
-    def empty(self) -> bool:
-        return not self.xs
-
 
 class SNTIndex:
     """In-memory adapted SNT-index over ``W`` temporal partitions."""

@@ -15,7 +15,7 @@ The query trajectory's own id is excluded from retrieval (self-leakage
 guard; see DESIGN.md).  ``evaluate_config`` runs one configuration grid
 cell — (query type, pi, sigma, beta, estimator) — over the query set
 and reports every sec.-5.3 metric plus latency and the Fig.-7 average
-sub-path length.
+sub-path length; ``qerrors`` is the Fig.-11a estimator protocol.
 """
 from __future__ import annotations
 
@@ -28,7 +28,8 @@ from pyspark.sql import functions as F
 
 from repro.core.cardinality import CardinalityEstimator
 from repro.core.intervals import DAY, DEFAULT_ALPHAS, fixed, periodic
-from repro.core.metrics import log_likelihood, smape_term, weighted_error_term
+from repro.core.metrics import (log_likelihood, q_error, smape_term,
+                                weighted_error_term)
 from repro.core.query import trip_query
 from repro.core.spq import SPQ
 from repro.index.snt import SNTIndex
@@ -82,12 +83,12 @@ def sample_queries(traversals: DataFrame, n_queries: int, seed: int = 17,
 
 
 def make_spq(qt: QueryTrajectory, query_type: str, beta: int | None,
-             alpha_min: float = DEFAULT_ALPHAS[0],
              timeframe_days: float | None = None) -> SPQ:
     """Instantiate the sec.-5.2 query for one sampled trajectory."""
     if query_type in ("temporal", "user"):
         tod0 = qt.t0 % DAY
-        interval = periodic(tod0 - alpha_min / 2.0, tod0 + alpha_min / 2.0)
+        half = DEFAULT_ALPHAS[0] / 2.0  # alpha_min-sized window
+        interval = periodic(tod0 - half, tod0 + half)
         user = qt.u if query_type == "user" else None
         tf = ((qt.t0 - timeframe_days * DAY, qt.t0)
               if timeframe_days else None)
@@ -102,19 +103,17 @@ def make_spq(qt: QueryTrajectory, query_type: str, beta: int | None,
 def evaluate_config(index: SNTIndex, queries: list[QueryTrajectory], *,
                     query_type: str, partition_method: str,
                     split_method: str, beta: int,
-                    estimator_mode: str | None = None,
-                    alphas=DEFAULT_ALPHAS, hist_h: float = 10.0,
-                    gamma: float = 0.99) -> dict:
+                    estimator_mode: str | None = None) -> dict:
     """Run one grid cell over the query set; return the metric row."""
     est = (CardinalityEstimator(index, estimator_mode)
            if estimator_mode else None)
     smapes, wes, lls, sublens, times_ms = [], [], [], [], []
     for qt in queries:
-        spq = make_spq(qt, query_type, beta, alphas[0])
+        spq = make_spq(qt, query_type, beta)
         t0 = time.perf_counter()
         res = trip_query(index, spq, partition_method=partition_method,
-                         split_method=split_method, alphas=alphas,
-                         hist_h=hist_h, estimator=est, exclude_d=qt.d)
+                         split_method=split_method, estimator=est,
+                         exclude_d=qt.d)
         times_ms.append((time.perf_counter() - t0) * 1e3)
         smapes.append(smape_term(res.estimate, qt.actual))
         # align final sub-queries with ground-truth sub-path durations
@@ -124,7 +123,7 @@ def evaluate_config(index: SNTIndex, queries: list[QueryTrajectory], *,
         sub_actual = [float(tts[s.spq.lo:s.spq.hi].sum()) for s in res.subs]
         sub_len = [float(lens[s.spq.lo:s.spq.hi].sum()) for s in res.subs]
         wes.append(weighted_error_term(sub_means, sub_actual, sub_len))
-        lls.append(log_likelihood(qt.actual, res.hist, gamma))
+        lls.append(log_likelihood(qt.actual, res.hist))
         sublens.append(res.avg_subpath_len)
     return {
         "query_type": query_type, "pi": partition_method,
@@ -137,6 +136,26 @@ def evaluate_config(index: SNTIndex, queries: list[QueryTrajectory], *,
         "avg_subpath_len": float(np.mean(sublens)),
         "ms_per_query": float(np.mean(times_ms)),
     }
+
+
+def qerrors(index: SNTIndex, queries: list[QueryTrajectory],
+            estimator_mode: str) -> np.ndarray:
+    """Fig. 11a: q-error of one estimator mode per query trajectory.
+
+    The sub-query is the trip's first segment with the alpha_min
+    periodic window and a one-year time frame (the seltf exercise of
+    sec. 4.4); the exact count is its map size with no beta and no user.
+    """
+    est = CardinalityEstimator(index, estimator_mode)
+    out = []
+    for qt in queries:
+        spq = make_spq(qt, "temporal", beta=None, timeframe_days=365)
+        sub = spq.with_(path=spq.path[:1])
+        actual = len(index.forest.build_map(
+            sub.path[0], index.isa_ranges(sub.path), sub.interval, None,
+            None, index.user_of, timeframe=sub.timeframe))
+        out.append(q_error(est.estimate(sub), actual))
+    return np.array(out)
 
 
 def baseline_speed_limit(index: SNTIndex,

@@ -1,10 +1,10 @@
-"""FMIndex backward search vs brute-force substring counting."""
+"""FMIndex: C counts, the occ-list, and backward search vs brute force."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.fmindex.fm import FMIndex
+from repro.fmindex.fm import FMIndex, symbol_counts
 from repro.fmindex.suffix_array import suffix_array
 
 
@@ -83,6 +83,33 @@ def test_property_counts(body, pattern):
 
 
 def test_memory_report_keys(random_fm):
-    _, fm = random_fm
+    s, fm = random_fm
     rep = fm.memory_report()
-    assert set(rep) == {"C", "WT"} and rep["WT"] > 0
+    assert set(rep) == {"C", "WT"} and rep["WT"] == 8 * len(s)
+
+
+def test_symbol_counts_paper_string():
+    m = {c: i for i, c in enumerate("$ABCDEF")}
+    s = np.array([m[c] for c in "ABE$ACDE$ABF$ABE$"])
+    c = symbol_counts(s, 7)
+    # $:4, A:4, B:3, C:1, D:1, E:3, F:1 cumulated
+    assert list(c) == [0, 4, 8, 11, 12, 13, 16, 17]
+
+
+def test_symbol_counts_has_sentinel_slot():
+    c = symbol_counts(np.array([0, 1, 1]), 2)
+    assert len(c) == 3 and c[2] == 3  # C[c+1] addressable for the last symbol
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.lists(st.integers(min_value=1, max_value=5), min_size=1,
+                         max_size=8), min_size=1, max_size=8))
+def test_occ_blocks_are_ascending_permutation(words):
+    s = np.array([e for w in words for e in w + [0]])  # $-terminated words
+    fm = FMIndex(s, alphabet_size=6)
+    bwt = s[suffix_array(s) - 1]
+    assert sorted(fm.occ) == list(range(len(s)))
+    for c in range(6):  # $ included
+        blk = fm.occ[fm.C[c]:fm.C[c + 1]]
+        assert (np.diff(blk) > 0).all()
+        assert (bwt[blk] == c).all()  # block c holds the BWT positions of c

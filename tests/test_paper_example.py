@@ -29,13 +29,14 @@ def test_trajectory_string_layout(paper_index):
 
 
 def test_bwt_matches_figure3(paper_index):
-    # the index keeps only the rank structure; Tbwt[i] is the one symbol
-    # whose rank grows between positions i and i + 1
+    # the index keeps only the occ-list: block occ[C[c]:C[c+1]] holds the
+    # BWT positions of symbol c, so scattering c through it gives Tbwt
     fm = paper_index.fms[0]
     sym = "$ABCDEF"
-    bwt = "".join(sym[c] for i in range(fm.n) for c in range(len(sym))
-                  if fm.rank.rank(c, i + 1) > fm.rank.rank(c, i))
-    assert bwt == "EFEE$$$$AAAACBDBB"
+    bwt = np.empty(fm.n, dtype=np.int64)
+    for c in range(len(sym)):
+        bwt[fm.occ[fm.C[c]:fm.C[c + 1]]] = c
+    assert "".join(sym[c] for c in bwt) == "EFEE$$$$AAAACBDBB"
 
 
 @pytest.mark.parametrize("path,expected", [

@@ -63,6 +63,11 @@ def test_memory_report_components(paper_index):
     assert all(v > 0 for v in rep.values())
 
 
+def test_served_fmindex_holds_c_occ_n(paper_index):
+    # the build reads the transient isa and deletes it
+    assert all(set(vars(fm)) == {"C", "occ", "n"} for fm in paper_index.fms)
+
+
 def _array_bytes(root, skip) -> int:
     """Bytes of every numpy buffer reachable from ``root``, each counted
     once (views resolve to the array owning their memory)."""
@@ -94,7 +99,7 @@ def _array_bytes(root, skip) -> int:
 def test_memory_report_counts_every_array(small_index):
     walked = _array_bytes(small_index, skip=(small_index.net,))
     reported = sum(small_index.memory_report().values())
-    assert reported == pytest.approx(walked, rel=0.01)
+    assert reported == walked
 
 
 def test_tod_store_per_partition(paper_index):

@@ -5,7 +5,7 @@ import pytest
 from repro.core.intervals import DAY
 from repro.workload import (QUERY_TYPES, baseline_segment_means,
                             baseline_speed_limit, evaluate_config, make_spq,
-                            sample_queries)
+                            qerrors, sample_queries)
 
 pytestmark = pytest.mark.spark
 
@@ -105,3 +105,13 @@ def test_path_methods_improve_on_speed_limit(spark_index, queries):
                           beta=10)
     sl = baseline_speed_limit(spark_index, queries[:15])
     assert row["smape"] < sl["smape"]
+
+
+def test_qerrors_isa_overestimates_filtered_subquery(spark_index, queries):
+    # ISA counts every traversal of the first segment, the exact count
+    # only those in the window and the time frame
+    isa = qerrors(spark_index, queries[:8], "ISA")
+    acc = qerrors(spark_index, queries[:8], "CSS-Acc")
+    assert len(isa) == len(acc) == 8
+    assert (isa >= 1).all() and (acc >= 1).all()
+    assert np.log10(isa).mean() > np.log10(acc).mean()
