@@ -13,9 +13,10 @@ Estimates ``beta_hat = seltod * seltf * selu * cP`` where
 * ``selu = 1/10`` for a user predicate (the Selinger default).
 
 Modes: ``ISA`` (cP alone), ``BT-Fast``, ``BT-Acc``, ``CSS-Fast``,
-``CSS-Acc``.  The Acc modes walk the per-partition histogram store —
-the scan cost the paper identifies as CSS-Acc's weakness at small
-partition sizes (Fig. 11b).
+``CSS-Acc``.  The paper identifies walking the per-partition histogram
+store as CSS-Acc's weakness at small partition sizes (Fig. 11b); here
+the store holds prefix sums, so Eq. 2 reads a few columns of the first
+segment's rows, one row per partition, at any partition size.
 """
 from __future__ import annotations
 

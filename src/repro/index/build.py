@@ -18,8 +18,9 @@ used by non-Spark unit tests and as the equivalence oracle for the
 Spark dataflow.  Both feed :func:`_assemble`, which densifies the
 partition ids to ``0..W-1`` (in time order), materialises the
 per-partition trajectory strings (unassigned positions are the ``$``
-terminators), builds the FM-indexes, joins ISA values back by position,
-and constructs the forest, the U map and the ToD histogram store.
+terminators), builds one FM-index over them, joins ISA values back by
+position, and constructs the forest, the U map and the ToD histogram
+store.
 """
 from __future__ import annotations
 
@@ -42,50 +43,51 @@ LEAF_COLUMNS = ["w", "pos", "e", "t", "tt", "a", "seq", "d", "u"]
 
 def _assemble(net: RoadNetwork, leaves: pd.DataFrame, *,
               backend: str) -> SNTIndex:
-    """Driver-side assembly: strings -> FM-indexes -> ISA -> forest/U/ToD."""
+    """Driver-side assembly: strings -> FM-index -> ISA -> forest/U/ToD."""
     alphabet = net.n_edges + 1
-    fms: list[FMIndex] = []
     leaves = leaves.copy()
-    wvals, dense = np.unique(leaves["w"].to_numpy(dtype=np.int64),
-                             return_inverse=True)
-    leaves["w"] = dense.astype(np.int64)
-    leaves["isa"] = np.int64(0)
-    for w in range(len(wvals)):
-        mask = leaves["w"].to_numpy() == w
-        pos = leaves.loc[mask, "pos"].to_numpy(dtype=np.int64)
-        sym = leaves.loc[mask, "e"].to_numpy(dtype=np.int64)
-        n_traj_w = leaves.loc[mask, "d"].nunique()
-        string = np.zeros(len(pos) + n_traj_w, dtype=np.int64)  # $=0 gaps
-        string[pos] = sym
-        fm = FMIndex(string, alphabet)
-        leaves.loc[mask, "isa"] = fm.isa[pos]
-        del fm.isa  # the served index stores only C + occ
-        fms.append(fm)
+    wvals, w = np.unique(leaves["w"].to_numpy(dtype=np.int64),
+                         return_inverse=True)
+    w = w.astype(np.int64)
+    n_part = len(wvals)
+    d = leaves["d"].to_numpy(dtype=np.int64)
+    e = leaves["e"].to_numpy(dtype=np.int64)
+    # string w: its leaves' symbols at pos, one $ (= 0) per trajectory;
+    # the W strings are laid end to end, string w from start[w]
+    first_leaf = np.unique(d, return_index=True)[1]
+    lens = (np.bincount(w, minlength=n_part)
+            + np.bincount(w[first_leaf], minlength=n_part))
+    start = np.cumsum(lens) - lens
+    gpos = start[w] + leaves["pos"].to_numpy(dtype=np.int64)
+    text = np.zeros(int(lens.sum()), dtype=np.int64)
+    text[gpos] = e
+    fm = FMIndex(np.split(text, start[1:]), alphabet)
+    leaves["w"] = w
+    leaves["isa"] = fm.isa[gpos]
+    del fm.isa  # the served index keeps only the search tables + occ
 
     forest = TemporalForest(
         leaves[["e", "t", "isa", "d", "tt", "a", "seq", "w"]],
         backend=backend)
 
-    d_arr = leaves["d"].to_numpy(dtype=np.int64)
     u_arr = leaves["u"].to_numpy(dtype=np.int64)
-    user_of = np.full(int(d_arr.max()) + 1, -1, dtype=np.int64)
-    user_of[d_arr] = u_arr
+    user_of = np.full(int(d.max()) + 1, -1, dtype=np.int64)
+    user_of[d] = u_arr
 
-    # ToD store: one row of bucket counts per (w, e) pair with entries
+    # ToD store: bucket counts per (e, w) pair with entries, as inclusive
+    # prefix sums, rows in (e, w) order; segment e owns rows
+    # tod_first[e]:tod_first[e + 1]
     n_buckets = int(np.ceil(DAY / TOD_BUCKET))
     bucket = ((leaves["t"].to_numpy() % DAY) // TOD_BUCKET).astype(np.int64)
     bucket = np.minimum(bucket, n_buckets - 1)
-    we = (leaves["w"].to_numpy(dtype=np.int64) * alphabet
-          + leaves["e"].to_numpy(dtype=np.int64))
-    keys, row = np.unique(we, return_inverse=True)
+    keys, row = np.unique(e * n_part + w, return_inverse=True)
     counts = np.bincount(row * n_buckets + bucket,
                          minlength=len(keys) * n_buckets)
-    counts = counts.reshape(len(keys), n_buckets).astype(np.float64)
-    tod_hist = {(int(k) // alphabet, int(k) % alphabet): counts[i]
-                for i, k in enumerate(keys)}
+    tod_hist = np.cumsum(counts.reshape(len(keys), n_buckets), axis=1)
+    tod_first = np.searchsorted(keys // n_part, np.arange(alphabet + 1))
 
     tmax = float(leaves["t"].max() + leaves["tt"].max())
-    return SNTIndex(net, fms, forest, user_of, tod_hist, tmax)
+    return SNTIndex(net, fm, forest, user_of, tod_hist, tod_first, tmax)
 
 
 def build_index(spark: SparkSession, net: RoadNetwork, traversals: DataFrame,

@@ -1,9 +1,9 @@
 """The adapted SNT-index serving structure (paper sec. 4).
 
-Holds, per temporal partition ``w``, an FM-index over that partition's
-trajectory string; one shared temporal forest whose leaves carry the
-partition id; the associative container ``U`` (trajectory -> user); and
-the time-of-day histogram store used by the cardinality estimator.
+Holds one FM-index over the trajectory strings of all ``W`` temporal
+partitions; one shared temporal forest whose leaves carry the partition
+id; the associative container ``U`` (trajectory -> user); and the
+time-of-day histogram store used by the cardinality estimator.
 
 :meth:`SNTIndex.get_travel_times` is Procedure 5: spatial filtering via
 per-partition ISA ranges, ``buildMap`` on the first segment,
@@ -37,29 +37,30 @@ class TravelTimeResult:
 class SNTIndex:
     """In-memory adapted SNT-index over ``W`` temporal partitions."""
 
-    def __init__(self, net: RoadNetwork, fms: list[FMIndex],
+    def __init__(self, net: RoadNetwork, fm: FMIndex,
                  forest: TemporalForest, user_of: np.ndarray,
-                 tod_hist: dict[tuple[int, int], np.ndarray], tmax: float):
+                 tod_hist: np.ndarray, tod_first: np.ndarray, tmax: float):
         self.net = net
-        self.fms = fms
+        #: the FM-index over all W partition strings, as a one-element
+        #: list because perfbench reads ``index.fms``
+        self.fms = [fm]
         self.forest = forest
         self.user_of = user_of
-        #: {(w, e): ToD bucket counts of segment e in partition w}
+        #: ToD store: one row per (segment, partition) pair with entries,
+        #: in (e, w) order, of inclusive prefix sums of its bucket counts;
+        #: segment e's rows are ``tod_hist[tod_first[e]:tod_first[e + 1]]``
         self.tod_hist = tod_hist
+        self.tod_first = tod_first
         self.tmax = float(tmax)
 
     @property
     def n_partitions(self) -> int:
-        return len(self.fms)
+        return self.fms[0].span.shape[1]
 
     # -- spatial component ------------------------------------------------
     def isa_ranges(self, path) -> np.ndarray:
         """(W, 2) array of per-partition ISA ranges [st, ed) for ``path``."""
-        out = np.zeros((len(self.fms), 2), dtype=np.int64)
-        for w, fm in enumerate(self.fms):
-            st, ed = fm.isa_range(path)
-            out[w, 0], out[w, 1] = st, ed
-        return out
+        return self.fms[0].isa_ranges(path)
 
     def path_count(self, path) -> int:
         """Exact strict-traversal count c_P = sum_w (ed_w - st_w)."""
@@ -78,11 +79,16 @@ class SNTIndex:
         temporal scan; for *periodic* intervals an under-beta map aborts
         (the caller then relaxes the predicates); fixed-interval queries
         return whatever matched; a data-less single segment falls back
-        to ``estimateTT``.
+        to ``estimateTT``.  A path holding an id that is not an edge of
+        the network (edge ids are ``1..n_edges``) raises ``ValueError``:
+        no relaxation could ever answer it.
         """
         path = list(path)
         ranges = self.isa_ranges(path)
         if int((ranges[:, 1] - ranges[:, 0]).sum()) == 0:
+            bad = [e for e in path if not 1 <= e <= self.net.n_edges]
+            if bad:
+                raise ValueError(f"unknown edge id {bad[0]} in path {path}")
             if len(path) == 1:
                 return TravelTimeResult([self.net.estimate_tt(path[0])],
                                         fallback=True)
@@ -101,21 +107,26 @@ class SNTIndex:
     def tod_selectivity(self, e: int, interval: Interval) -> float:
         """Eq. 2: fraction of segment entries inside the periodic window.
 
-        The scan walks every partition's histogram of ``e`` — the cost the
-        paper blames for CSS-Acc degrading at small partitions.
+        Sums, over segment ``e``'s rows of the prefix-sum store (one per
+        partition), the last column for the total and the two bounding
+        columns of each in-day range for the window.  A segment with no
+        entries, or an id outside ``0..|Σ|-1``, gets the uniform Eq. 1.
         """
-        tot = sel = 0.0
-        for w in range(self.n_partitions):
-            h = self.tod_hist.get((w, e))
-            if h is None:
-                continue
-            tot += h.sum()
-            for lo, hi in interval.tod_ranges():
-                b0 = int(lo // TOD_BUCKET)
-                b1 = min(len(h), int(np.ceil(hi / TOD_BUCKET)))
-                sel += h[b0:b1].sum()
+        first = self.tod_first
+        if not 0 <= e < len(first) - 1:
+            return interval.size / DAY
+        rows = self.tod_hist[first[e]:first[e + 1]]
+        tot = rows[:, -1].sum()
         if tot == 0:
             return interval.size / DAY
+        sel = 0
+        for lo, hi in interval.tod_ranges():
+            b0 = int(lo // TOD_BUCKET)
+            b1 = min(rows.shape[1], int(np.ceil(hi / TOD_BUCKET)))
+            if b1 > b0:
+                sel += rows[:, b1 - 1].sum()
+                if b0 > 0:
+                    sel -= rows[:, b0 - 1].sum()
         return float(sel / tot)
 
     def segment_time_bounds(self, e: int) -> tuple[float, float] | None:
@@ -136,20 +147,16 @@ class SNTIndex:
     def memory_report(self) -> dict[str, int]:
         """Bytes per component: C, WT (rank structure), user map, Forest
         and the ToD histogram store actually held."""
-        rep = {"C": 0, "WT": 0}
-        for fm in self.fms:
-            m = fm.memory_report()
-            rep["C"] += m["C"]
-            rep["WT"] += m["WT"]
+        rep = self.fms[0].memory_report()
         rep["user"] = int(self.user_of.nbytes)
         rep["Forest"] = self.forest.memory_report()["Forest"]
-        rep["ToD"] = sum(int(h.nbytes) for h in self.tod_hist.values())
+        rep["ToD"] = int(self.tod_hist.nbytes + self.tod_first.nbytes)
         return rep
 
     def tod_store_bytes(self, h_seconds: float) -> int:
         """Fig. 10b: ToD-histogram store size at bucket width ``h_seconds``.
 
-        One dense array of ``ceil(DAY / h)`` float64 buckets per
+        One dense array of ``ceil(DAY / h)`` 8-byte buckets per
         (non-empty partition, segment) pair.
         """
         n_buckets = int(np.ceil(DAY / h_seconds))

@@ -33,11 +33,9 @@ class CSSTree:
         level = keys
         while len(level) > self.m:
             n_nodes = (len(level) + self.m - 1) // self.m
-            nxt = np.empty(n_nodes, dtype=np.float64)
-            for i in range(n_nodes):
-                nxt[i] = level[min(len(level), (i + 1) * self.m) - 1]
-            self.levels.append(nxt)
-            level = nxt
+            last = np.minimum(np.arange(1, n_nodes + 1) * self.m, len(level))
+            level = level[last - 1]
+            self.levels.append(level)
 
     def lower_bound(self, key: float) -> int:
         """Index of the first key >= ``key`` via top-down node descent."""

@@ -70,3 +70,22 @@ def test_property(keys, probe):
     keys = np.sort(np.array(keys, dtype=float))
     t = CSSTree(keys)
     assert t.lower_bound(probe) == np.searchsorted(keys, probe, side="left")
+
+
+@pytest.mark.parametrize("m", [2, 4, 16])
+@pytest.mark.parametrize("k", [1, 2, 3, 17])
+@pytest.mark.parametrize("delta", [-1, 0, 1])
+def test_levels_match_definition(m, k, delta):
+    """Each directory level holds the max key of every block of m nodes of
+    the level below, the last block possibly short; lengths at, just
+    under and just over multiples of m."""
+    n = k * m + delta
+    keys = np.sort(np.random.default_rng(n).uniform(0, 1, n))
+    t = CSSTree(keys, node_size=m)
+    below = keys
+    for level in t.levels:
+        assert len(below) > m
+        blocks = [below[i:i + m] for i in range(0, len(below), m)]
+        assert level.tolist() == [b.max() for b in blocks]
+        below = level
+    assert len(below) <= m

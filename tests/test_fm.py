@@ -1,4 +1,5 @@
-"""FMIndex: C counts, the occ-list, and backward search vs brute force."""
+"""FMIndex: C counts, the occ-list, the offset table, and backward search
+over one or several strings vs brute force."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -30,7 +31,7 @@ def random_fm():
         parts.extend(rng.integers(1, 6, size=rng.integers(2, 9)).tolist())
         parts.append(0)
     s = np.array(parts)
-    return s, FMIndex(s, alphabet_size=6)
+    return s, FMIndex([s], alphabet_size=6)
 
 
 @pytest.mark.parametrize("plen", [1, 2, 3, 4])
@@ -42,7 +43,7 @@ def test_counts_match_bruteforce(random_fm, plen):
         p = list(s[start:start + plen])
         if 0 in p:
             continue
-        st, ed = fm.isa_range(p)
+        st, ed = fm.isa_ranges(p)[0]
         assert ed - st == brute_count(s, p)
 
 
@@ -52,22 +53,21 @@ def test_ranges_match_definition(random_fm):
     for _ in range(40):
         plen = int(rng.integers(1, 5))
         p = rng.integers(1, 6, size=plen).tolist()
-        assert fm.isa_range(p) == brute_range(s, suffix_array(s), p)
+        assert tuple(fm.isa_ranges(p)[0]) == brute_range(s, suffix_array(s), p)
 
 
 def test_empty_path_is_full_range(random_fm):
     s, fm = random_fm
-    assert fm.isa_range([]) == (0, len(s))
+    assert tuple(fm.isa_ranges([])[0]) == (0, len(s))
 
 
 def test_absent_symbol_gives_empty(random_fm):
-    s, fm = random_fm
-    # symbol 5 may exist; symbol count array has the +1 slot, and a
-    # symbol with zero occurrences yields C[c] == C[c+1]
-    missing = next(c for c in range(1, 6) if brute_count(s, [c]) == 0) \
-        if any(brute_count(s, [c]) == 0 for c in range(1, 6)) else None
-    if missing is not None:
-        assert fm.isa_range([missing]) == (0, 0)
+    s, _ = random_fm
+    # symbol 6 is in the alphabet but not in s: C[6] == C[7] == len(s)
+    fm = FMIndex([s], alphabet_size=7)
+    assert tuple(fm.isa_ranges([6])[0]) == (len(s), len(s))
+    assert tuple(fm.isa_ranges([6, 1])[0]) == (0, 0)
+    assert tuple(fm.isa_ranges([1, 6])[0]) == (0, 0)
 
 
 @settings(max_examples=30, deadline=None)
@@ -77,8 +77,8 @@ def test_absent_symbol_gives_empty(random_fm):
                 max_size=4))
 def test_property_counts(body, pattern):
     s = np.array(body + [0])
-    fm = FMIndex(s, alphabet_size=5)
-    st, ed = fm.isa_range(pattern)
+    fm = FMIndex([s], alphabet_size=5)
+    st, ed = fm.isa_ranges(pattern)[0]
     assert ed - st == brute_count(s, pattern)
 
 
@@ -86,6 +86,8 @@ def test_memory_report_keys(random_fm):
     s, fm = random_fm
     rep = fm.memory_report()
     assert set(rep) == {"C", "WT"} and rep["WT"] == 8 * len(s)
+    assert rep["C"] == (fm.D.nbytes + fm.B.nbytes + fm.span.nbytes
+                        + fm.start.nbytes)
 
 
 def test_symbol_counts_paper_string():
@@ -101,15 +103,58 @@ def test_symbol_counts_has_sentinel_slot():
     assert len(c) == 3 and c[2] == 3  # C[c+1] addressable for the last symbol
 
 
+#: W trajectory strings: each a list of $-terminated words over 1..5
+strings_st = st.lists(
+    st.lists(st.lists(st.integers(min_value=1, max_value=5), min_size=1,
+                      max_size=8), min_size=1, max_size=6),
+    min_size=1, max_size=4).map(
+        lambda ss: [np.array([e for w in words for e in w + [0]])
+                    for words in ss])
+
+
 @settings(max_examples=40, deadline=None)
-@given(st.lists(st.lists(st.integers(min_value=1, max_value=5), min_size=1,
-                         max_size=8), min_size=1, max_size=8))
-def test_occ_blocks_are_ascending_permutation(words):
-    s = np.array([e for w in words for e in w + [0]])  # $-terminated words
-    fm = FMIndex(s, alphabet_size=6)
-    bwt = s[suffix_array(s) - 1]
-    assert sorted(fm.occ) == list(range(len(s)))
+@given(strings_st)
+def test_occ_blocks_are_ascending_permutation(strings):
+    fm = FMIndex(strings, alphabet_size=6)
+    bwt = np.concatenate([s[suffix_array(s) - 1] for s in strings])
+    assert fm.n == len(bwt)
+    assert sorted(fm.occ) == list(range(len(bwt)))
+    assert list(fm.B) == list(symbol_counts(bwt, 6))
     for c in range(6):  # $ included
-        blk = fm.occ[fm.C[c]:fm.C[c + 1]]
+        blk = fm.occ[fm.B[c]:fm.B[c + 1]]
         assert (np.diff(blk) > 0).all()
-        assert (bwt[blk] == c).all()  # block c holds the BWT positions of c
+        assert (bwt[blk] == c).all()  # block c: every BWT position of c
+
+
+def _expected_range(s, p, alphabet_size):
+    """Procedure 2's answer in one string, from the sorted suffixes."""
+    if not p:
+        return (0, len(s))
+    if min(p) < 1 or max(p) >= alphabet_size:
+        return (0, 0)
+    if len(p) == 1 and brute_count(s, p) == 0:
+        c = symbol_counts(s, alphabet_size)[p[0]]
+        return (int(c), int(c))  # initial C-range of an absent symbol
+    return brute_range(s, suffix_array(s), p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(strings_st,
+       st.lists(st.lists(st.integers(min_value=-1, max_value=8), max_size=4),
+                min_size=1, max_size=8))
+def test_partitioned_ranges_match_bruteforce(strings, paths):
+    """Each row of isa_ranges is that string's own suffix-array range:
+    absent symbols (6, 7), single symbols, the empty path and ids
+    outside the alphabet (-1, 0, 8) included."""
+    fm = FMIndex(strings, alphabet_size=8)
+    for p in paths:
+        got = fm.isa_ranges(p)
+        assert got.shape == (len(strings), 2) and got.dtype == np.int64
+        for s, row in zip(strings, got):
+            assert tuple(row) == _expected_range(s, p, 8)
+
+
+def test_offset_table_single_string_is_c(random_fm):
+    s, fm = random_fm
+    assert fm.D.shape == (6, 1)
+    assert list(fm.D[:, 0]) == list(symbol_counts(s, 6)[:-1])

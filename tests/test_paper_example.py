@@ -25,17 +25,17 @@ def test_trajectory_string_layout(paper_index):
     # T = ABE$ACDE$ABF$ABE$ -> 17 symbols, 4 terminators
     fm = paper_index.fms[0]
     assert fm.n == 17
-    assert int(fm.C[1]) == 4  # four $ before 'A'
+    assert int(fm.D[1, 0]) == 4  # four $ before 'A' (D[:, 0] is C at W = 1)
 
 
 def test_bwt_matches_figure3(paper_index):
-    # the index keeps only the occ-list: block occ[C[c]:C[c+1]] holds the
+    # the index keeps only the occ-list: block occ[B[c]:B[c+1]] holds the
     # BWT positions of symbol c, so scattering c through it gives Tbwt
     fm = paper_index.fms[0]
     sym = "$ABCDEF"
     bwt = np.empty(fm.n, dtype=np.int64)
     for c in range(len(sym)):
-        bwt[fm.occ[fm.C[c]:fm.C[c + 1]]] = c
+        bwt[fm.occ[fm.B[c]:fm.B[c + 1]]] = c
     assert "".join(sym[c] for c in bwt) == "EFEE$$$$AAAACBDBB"
 
 
@@ -50,12 +50,15 @@ def test_bwt_matches_figure3(paper_index):
     ([E, A], (0, 0)),
 ])
 def test_isa_ranges(paper_index, path, expected):
-    assert paper_index.fms[0].isa_range(path) == expected
+    assert paper_index.isa_ranges(path).tolist() == [list(expected)]
 
 
 def test_c_array_example(paper_index):
-    # paper: C['B'] = 8 (eight symbols lexicographically before B)
-    assert int(paper_index.fms[0].C[B]) == 8
+    # paper: C['B'] = 8 (eight symbols lexicographically before B); at
+    # W = 1 the offset table D is C without its sentinel slot
+    fm = paper_index.fms[0]
+    assert int(fm.D[B, 0]) == 8
+    assert fm.D[:, 0].tolist() == [0, 4, 8, 11, 12, 13, 16]
 
 
 def test_path_counts(paper_index):

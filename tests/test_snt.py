@@ -48,8 +48,25 @@ def test_empty_isa_single_segment_falls_back(paper_net, paper_traversals):
 @pytest.mark.parametrize("path", [[-1], [0], [7], [A, 0], [99, B], [A, -3]])
 def test_non_edge_symbols_match_nothing(paper_index, path):
     # edge ids are 1..6; 0 is the $ terminator
-    assert paper_index.fms[0].isa_range(path) == (0, 0)
+    assert paper_index.isa_ranges(path).tolist() == [[0, 0]]
     assert paper_index.path_count(path) == 0
+
+
+@pytest.mark.parametrize("path,bad", [([-1], -1), ([0], 0), ([7], 7),
+                                      ([A, 99], 99), ([0, B], 0)])
+def test_unknown_edge_ids_raise(paper_index, path, bad):
+    # no speed-limit estimate is read through a wrapped or $ row
+    with pytest.raises(ValueError, match=f"unknown edge id {bad}"):
+        paper_index.get_travel_times(path, fixed(0, 100))
+
+
+def test_trip_query_rejects_unknown_edge_id(paper_index):
+    from repro.core.query import trip_query
+    from repro.core.spq import SPQ
+    q = SPQ((A, B, 7), periodic(0, 900), beta=1)
+    with pytest.raises(ValueError, match="unknown edge id 7"):
+        trip_query(paper_index, q, partition_method="none",
+                   split_method="regular")
 
 
 def test_isa_ranges_shape(paper_index):
@@ -63,9 +80,11 @@ def test_memory_report_components(paper_index):
     assert all(v > 0 for v in rep.values())
 
 
-def test_served_fmindex_holds_c_occ_n(paper_index):
-    # the build reads the transient isa and deletes it
-    assert all(set(vars(fm)) == {"C", "occ", "n"} for fm in paper_index.fms)
+def test_served_fmindex_holds_search_tables(paper_index):
+    # one FM-index for all partitions; the build reads the transient isa
+    # and deletes it
+    (fm,) = paper_index.fms
+    assert set(vars(fm)) == {"B", "D", "occ", "span", "start", "n"}
 
 
 def _array_bytes(root, skip) -> int:
@@ -103,10 +122,11 @@ def test_memory_report_counts_every_array(small_index):
 
 
 def test_tod_store_per_partition(paper_index):
-    # one histogram per (partition, segment) pair; four A-traversals
-    assert set(paper_index.tod_hist) == {(0, e) for e in range(1, 7)}
-    assert paper_index.tod_hist[(0, A)].sum() == 4
-    assert paper_index.memory_report()["ToD"] == 6 * 144 * 8
+    # one prefix-sum row per (segment, partition) pair; four A-traversals
+    assert paper_index.tod_hist.shape == (6, 144)
+    assert paper_index.tod_first.tolist() == [0, 0, 1, 2, 3, 4, 5, 6]
+    assert paper_index.tod_hist[paper_index.tod_first[A], -1] == 4
+    assert paper_index.memory_report()["ToD"] == 6 * 144 * 8 + 8 * 8
 
 
 def test_tod_store_matches_leaf_loop(small_net, small_traversals):
@@ -119,9 +139,50 @@ def test_tod_store_matches_leaf_loop(small_net, small_traversals):
         for t, w in zip(lv.t, lv.w):
             h = ref.setdefault((int(w), e), np.zeros(144))
             h[min(int(t % DAY // 600), 143)] += 1
-    assert set(idx.tod_hist) == set(ref)
-    for k, h in ref.items():
-        assert np.array_equal(idx.tod_hist[k], h)
+    first = idx.tod_first
+    assert len(first) == idx.net.n_edges + 2
+    assert first[-1] == len(idx.tod_hist) == len(ref)
+    for e in range(idx.net.n_edges + 1):
+        rows = np.diff(idx.tod_hist[first[e]:first[e + 1]], axis=1,
+                       prepend=0)
+        ws = sorted(w for w, e2 in ref if e2 == e)  # rows in (e, w) order
+        assert len(rows) == len(ws)
+        for row, w in zip(rows, ws):
+            assert np.array_equal(row, ref[(w, e)])
+
+
+def _tod_selectivity_by_partition(idx, e, interval):
+    """Eq. 2 walking one bucket-count histogram per partition."""
+    tot = sel = 0.0
+    lv = idx.forest.get(e)
+    for w in range(idx.n_partitions):
+        if lv is None or not (lv.w == w).any():
+            continue
+        h = np.zeros(144)
+        np.add.at(h, np.minimum(lv.t[lv.w == w] % DAY // 600, 143)
+                  .astype(int), 1)
+        tot += h.sum()
+        for lo, hi in interval.tod_ranges():
+            sel += h[int(lo // 600):min(144, int(np.ceil(hi / 600)))].sum()
+    return interval.size / DAY if tot == 0 else float(sel / tot)
+
+
+def test_tod_selectivity_equals_partition_walk(small_net, small_traversals):
+    from repro.index.build import build_index_local
+    idx = build_index_local(small_net, small_traversals, partition_days=30)
+    assert idx.n_partitions > 2
+    rng = np.random.default_rng(5)
+    segs = sorted(idx.forest.segments)
+    for _ in range(300):
+        e = int(rng.choice(segs))
+        # half the windows start one bucket after an entry of e, so the
+        # prefix sum before the window's first bucket is not zero
+        ts = (float(rng.choice(idx.forest.get(e).t)) % DAY + 600
+              if rng.random() < 0.5 else float(rng.uniform(0, DAY)))
+        size = float(rng.choice([0, 300, 600, 3600, 20000, DAY - 1, DAY]))
+        ivl = periodic(ts, ts + size)
+        assert idx.tod_selectivity(e, ivl) == \
+            _tod_selectivity_by_partition(idx, e, ivl)
 
 
 def test_tod_selectivity_full_day_is_one(paper_index):
@@ -135,11 +196,20 @@ def test_tod_selectivity_concentrated(paper_index):
     assert sel == pytest.approx(1.0)
     sel = paper_index.tod_selectivity(A, periodic(40000, 40600))
     assert sel == 0.0
+    # the second bucket: the first bucket's prefix sum is subtracted
+    assert paper_index.tod_selectivity(A, periodic(600, 1200)) == 0.0
 
 
 def test_tod_selectivity_unknown_segment_uses_uniform(paper_index):
     sel = paper_index.tod_selectivity(999, periodic(0, DAY / 4))
     assert sel == pytest.approx(0.25)
+
+
+@pytest.mark.parametrize("e", [-2, -1, 0, 7])
+def test_tod_selectivity_non_edge_ids_use_uniform(paper_index, e):
+    # -2 must not wrap to the last segment's rows; 0 is $; |Σ| = 7
+    sel = paper_index.tod_selectivity(e, periodic(0, DAY / 4))
+    assert sel == 0.25
 
 
 def test_segment_time_bounds(paper_index):
