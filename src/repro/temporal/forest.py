@@ -1,23 +1,26 @@
-"""Temporal forest: per-segment extended leaves + Procedures 3 and 4.
+"""Temporal forest: per-segment leaves + Procedures 3 and 4.
 
-For every network segment ``e`` the forest holds the paper's extended
-leaf records sorted by entry timestamp ``t``:
-``t -> (isa, d, TT, a, seq, w)`` where ``a`` is the running travel-time
-sum from the trajectory start through this segment and ``w`` the
-temporal-partition id (sec. 4.1.3, 4.3.2, Fig. 4).
+For every network segment ``e`` the forest holds leaf records sorted by
+entry timestamp ``t``: ``t -> (isa, d, seq, w)``, with ``seq`` the
+record's position in trajectory ``d`` and ``w`` the temporal-partition
+id (sec. 4.1.3, 4.3.2, Fig. 4).  The paper's extended leaf also holds
+``TT`` and the running TT sum ``a`` through this segment; here both are
+stored once, in trajectory order (``TemporalForest.a``/``.tt``), with
+trajectory ``d``'s record ``seq`` at row ``first[d] + seq``.
 
-Periodic predicates repeat daily, so each segment additionally keeps a
-time-of-day sort order and a second tree over it; a periodic window then
-becomes one or two contiguous range scans instead of one scan per day —
-an adaptation of the paper's per-repetition B+-tree scans that preserves
-scan order and results.
+Periodic predicates repeat daily, so each segment also keeps a
+time-of-day sort order and a tree over it: a periodic window is one or
+two range scans (the pre-midnight one first) instead of the paper's
+per-day scans.  The matches are the same, but they come in time-of-day
+order (ties by ``t``), so ``beta`` keeps the earliest by time of day,
+not by date.
 
-``buildMap`` (Procedure 3) scans the first segment's leaves in scan
-order, filters by ISA range (per partition), time predicate and user
-predicate, stops after ``beta`` matches, and maps ``(d, seq)`` to the
-antecedent aggregate ``a - TT``.  ``probeMap`` (Procedure 4) resolves
-each mapped trajectory at the last segment via a (d, seq)-sorted key
-array — functionally identical to the paper's leaf scan.
+``buildMap`` (Procedure 3) scans the first segment's leaves in that
+order, filters by per-partition ISA range, time and user predicates,
+stops after ``beta`` matches and returns their rows.  A match's ISA lies
+in the path's range, so its trajectory traverses the whole path from
+``seq``, and ``probeMap`` (Procedure 4) is the gather
+``a[row + |P| - 1] - (a[row] - TT[row])``.
 """
 from __future__ import annotations
 
@@ -29,19 +32,17 @@ from repro.core.intervals import DAY, Interval
 from repro.temporal.btree import BPlusTree
 from repro.temporal.csstree import CSSTree
 
-#: (d, seq) composite key stride; paths are far shorter than 2^20 segments.
-_SEQ_STRIDE = 1 << 20
+_NO_ROWS = np.empty(0, dtype=np.int64)
+_NO_ROWS.flags.writeable = False
 
 
 @dataclass
 class SegmentLeaves:
-    """Extended leaf arrays of one segment's temporal index (t-ascending)."""
+    """Leaf arrays of one segment's temporal index (t-ascending)."""
 
     t: np.ndarray
     isa: np.ndarray
     d: np.ndarray
-    tt: np.ndarray
-    a: np.ndarray
     seq: np.ndarray
     w: np.ndarray
     backend: str = "css"
@@ -53,9 +54,6 @@ class SegmentLeaves:
         tree_cls = CSSTree if self.backend == "css" else BPlusTree
         self.t_tree = tree_cls(self.t)
         self.tod_tree = tree_cls(tod[self.tod_order])
-        key = self.d.astype(np.int64) * _SEQ_STRIDE + self.seq.astype(np.int64)
-        self._dseq_order = np.argsort(key, kind="stable")
-        self._dseq_sorted = key[self._dseq_order]
 
     def __len__(self) -> int:
         return len(self.t)
@@ -71,20 +69,11 @@ class SegmentLeaves:
             parts.append(self.tod_order[lo:hi])
         return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
 
-    def find(self, d: int, seq: int) -> int:
-        """Row index of trajectory ``d``'s record at sequence ``seq``, or -1."""
-        key = int(d) * _SEQ_STRIDE + int(seq)
-        j = int(np.searchsorted(self._dseq_sorted, key, side="left"))
-        if j < len(self._dseq_sorted) and self._dseq_sorted[j] == key:
-            return int(self._dseq_order[j])
-        return -1
-
     def nbytes(self) -> tuple[int, int]:
         """(leaf array bytes, tree/auxiliary bytes) for the memory report."""
         leaf = sum(int(arr.nbytes) for arr in
-                   (self.t, self.isa, self.d, self.tt, self.a, self.seq, self.w))
+                   (self.t, self.isa, self.d, self.seq, self.w))
         aux = (self.tod_order.nbytes +
-               self._dseq_order.nbytes + self._dseq_sorted.nbytes +
                self.t_tree.nbytes() + self.tod_tree.nbytes())
         if isinstance(self.tod_tree, CSSTree):
             # its key array is a ToD-ordered copy; t_tree's keys are ``t``
@@ -97,14 +86,27 @@ class TemporalForest:
 
     def __init__(self, leaf_table, backend: str = "css"):
         """``leaf_table``: pandas DataFrame with columns
-        ``e, t, isa, d, tt, a, seq, w`` (any row order)."""
+        ``e, t, isa, d, tt, a, seq, w`` (any row order, ``seq`` dense)."""
         self.backend = backend
         self.segments: dict[int, SegmentLeaves] = {}
+        #: ``a`` and ``TT`` of every record in (d, seq) order; trajectory
+        #: d's records are rows ``first[d]:first[d + 1]``
+        self.a = np.empty(0)
+        self.tt = np.empty(0)
+        self.first = np.empty(0, dtype=np.int64)
         if len(leaf_table) == 0:
             return
         tbl = leaf_table.sort_values(["e", "t"], kind="stable")
         e_arr = tbl["e"].to_numpy()
         cols = {c: tbl[c].to_numpy() for c in ("t", "isa", "d", "tt", "a", "seq", "w")}
+        # new arrays, not views that would keep the table's float block alive
+        d = cols["d"].astype(np.int64)
+        self.first = np.concatenate(([0], np.cumsum(np.bincount(d))))
+        row = self.first[d] + cols["seq"]
+        self.a = np.empty(len(row))
+        self.a[row] = cols["a"]
+        self.tt = np.empty(len(row))
+        self.tt[row] = cols["tt"]
         uniq, starts = np.unique(e_arr, return_index=True)
         bounds = np.append(starts, len(e_arr))
         for i, e in enumerate(uniq):
@@ -113,8 +115,6 @@ class TemporalForest:
                 t=cols["t"][sl].astype(np.float64),
                 isa=cols["isa"][sl].astype(np.int64),
                 d=cols["d"][sl].astype(np.int64),
-                tt=cols["tt"][sl].astype(np.float64),
-                a=cols["a"][sl].astype(np.float64),
                 seq=cols["seq"][sl].astype(np.int64),
                 w=cols["w"][sl].astype(np.int64),
                 backend=backend,
@@ -129,8 +129,8 @@ class TemporalForest:
                   user_of: np.ndarray | None,
                   exclude_d: int | None = None,
                   timeframe: tuple[float, float] | None = None
-                  ) -> dict[tuple[int, int], float]:
-        """Procedure 3: map ``(d, seq) -> a - TT`` for the first matches.
+                  ) -> np.ndarray:
+        """Procedure 3: rows ``first[d] + seq`` of the first matches.
 
         ``ranges_by_w`` is a ``(W, 2)`` array of per-partition ISA ranges
         ``[st, ed)``; a leaf matches the spatial predicate iff its own
@@ -138,19 +138,19 @@ class TemporalForest:
         optional absolute-time bound a user may add on top of a periodic
         predicate (paper sec. 4.4, "only trajectories within the past
         year").  Scan stops after ``beta`` matches (paper line 6);
-        ``beta=None`` retrieves all.
+        ``beta=None`` retrieves all.  The rows come in scan order.
         """
         leaves = self.get(e0)
         if leaves is None:
-            return {}
+            return _NO_ROWS
         idx = leaves.candidates(interval)
         if len(idx) == 0:
-            return {}
+            return _NO_ROWS
         if timeframe is not None:
             t = leaves.t[idx]
             idx = idx[(t >= timeframe[0]) & (t < timeframe[1])]
             if len(idx) == 0:
-                return {}
+                return _NO_ROWS
         w = leaves.w[idx]
         isa = leaves.isa[idx]
         st = ranges_by_w[w, 0]
@@ -165,26 +165,23 @@ class TemporalForest:
         sel = idx[mask]
         if beta is not None:
             sel = sel[:beta]
-        diff = leaves.a[sel] - leaves.tt[sel]
-        return {(int(dd), int(ss)): float(df)
-                for dd, ss, df in zip(leaves.d[sel], leaves.seq[sel], diff)}
+        return self.first[leaves.d[sel]] + leaves.seq[sel]
 
     def probe_map(self, e_last: int, path_len: int,
-                  m: dict[tuple[int, int], float]) -> list[float]:
-        """Procedure 4: travel times ``a_last - diff`` for mapped entries."""
-        leaves = self.get(e_last)
-        if leaves is None or not m:
-            return []
-        xs: list[float] = []
-        for (d, seq0), diff in m.items():
-            j = leaves.find(d, seq0 + path_len - 1)
-            if j >= 0:
-                xs.append(float(leaves.a[j]) - diff)
-        return xs
+                  m: np.ndarray) -> list[float]:
+        """Procedure 4: travel times ``a_last - (a0 - TT0)`` of the rows
+        ``m`` that :meth:`build_map` returned, in the same order.
+
+        Row ``m + path_len - 1`` is the record on the last segment
+        ``e_last``, so ``e_last`` itself is not read.
+        """
+        return (self.a[m + path_len - 1] - (self.a[m] - self.tt[m])).tolist()
 
     def memory_report(self) -> dict[str, int]:
-        """Bytes of the forest (leaf arrays + trees) for Fig. 10a."""
-        leaf = aux = 0
+        """Bytes of the forest for Fig. 10a: the leaf arrays with the
+        trajectory-ordered ``a``, ``TT`` and row offsets, and the trees."""
+        leaf = self.a.nbytes + self.tt.nbytes + self.first.nbytes
+        aux = 0
         for seg in self.segments.values():
             lb, ab = seg.nbytes()
             leaf += lb

@@ -177,8 +177,9 @@ def baseline_segment_means(index: SNTIndex,
     The segment mean over *all* trajectories ever traversing it — the
     strongest non-selective per-segment method the paper compares to.
     """
-    mean_tt = {e: float(seg.tt.mean())
-               for e, seg in index.forest.segments.items()}
+    f = index.forest
+    mean_tt = {e: float(f.tt[f.first[seg.d] + seg.seq].mean())
+               for e, seg in f.segments.items()}
     sm, we = [], []
     for qt in queries:
         est_segs = [mean_tt.get(e, index.net.estimate_tt(e))

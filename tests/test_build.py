@@ -46,12 +46,14 @@ def test_same_path_counts(both_indexes):
 def test_same_forest_contents(both_indexes):
     _, _, si, li = both_indexes
     assert sorted(si.forest.segments) == sorted(li.forest.segments)
+    assert np.array_equal(si.forest.first, li.forest.first)
+    assert np.allclose(si.forest.tt, li.forest.tt)
+    assert np.allclose(si.forest.a, li.forest.a)
     for e in sorted(si.forest.segments)[:30]:
         a, b = si.forest.segments[e], li.forest.segments[e]
         assert np.allclose(a.t, b.t)
-        assert np.allclose(a.tt, b.tt)
-        assert np.allclose(a.a, b.a)
         assert np.array_equal(a.d, b.d)
+        assert np.array_equal(a.seq, b.seq)
         assert np.array_equal(a.isa, b.isa)
 
 
@@ -80,11 +82,11 @@ def test_running_aggregate_a(both_indexes):
     _, trav, si, _ = both_indexes
     pdf = trav.toPandas().sort_values(["d", "seq"])
     one = pdf[pdf["d"] == pdf["d"].iloc[0]]
-    e_last = int(one["e"].iloc[-1])
-    lv = si.forest.segments[e_last]
-    j = lv.find(int(one["d"].iloc[0]), int(one["seq"].iloc[-1]))
-    assert j >= 0
-    assert lv.a[j] == pytest.approx(one["tt"].sum())
+    f = si.forest
+    rows = f.first[int(one["d"].iloc[0])] + one["seq"].to_numpy()
+    assert f.tt[rows].tolist() == one["tt"].tolist()
+    assert f.a[rows] == pytest.approx(one["tt"].cumsum().to_numpy())
+    assert f.a[rows[-1]] == pytest.approx(one["tt"].sum())
 
 
 def test_temporal_partitioning_counts_sum(spark, spark_dataset):
@@ -148,5 +150,5 @@ def test_isa_suffix_property(spark, small_net, small_traversals):
             st, ed = idx.isa_ranges(tail)[0]
             e0 = tail[0]
             lv = idx.forest.segments[e0]
-            j = lv.find(int(d), start)
-            assert j >= 0 and st <= lv.isa[j] < ed
+            j, = np.flatnonzero((lv.d == d) & (lv.seq == start))
+            assert st <= lv.isa[j] < ed

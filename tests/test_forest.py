@@ -13,8 +13,6 @@ def make_leaves(ts, backend="css", **over):
         t=np.asarray(ts, dtype=float),
         isa=np.arange(n, dtype=np.int64),
         d=np.arange(n, dtype=np.int64),
-        tt=np.full(n, 10.0),
-        a=np.full(n, 10.0),
         seq=np.zeros(n, dtype=np.int64),
         w=np.zeros(n, dtype=np.int64),
     )
@@ -45,14 +43,6 @@ def test_periodic_midnight_wrap():
     assert sorted(lv.t[idx]) == [23.9 * 3600, DAY + 0.05 * 3600]
 
 
-def test_find_by_d_seq():
-    lv = make_leaves([0, 1, 2], d=[5, 5, 9], seq=[0, 3, 1])
-    assert lv.find(5, 3) == 1
-    assert lv.find(9, 1) == 2
-    assert lv.find(9, 2) == -1
-    assert lv.find(123, 0) == -1
-
-
 def make_forest(backend="css"):
     # two trajectories traversing segments 1 -> 2; one lone traversal of 2
     rows = [
@@ -68,60 +58,83 @@ def make_forest(backend="css"):
     return TemporalForest(pdf, backend=backend)
 
 
+def test_trajectory_ordered_aggregates():
+    f = make_forest()
+    # rows in (d, seq) order: (0,0) (0,1) (1,0) (1,1) (2,0)
+    assert f.first.tolist() == [0, 2, 4, 5]
+    assert f.a.tolist() == [10.0, 30.0, 12.0, 37.0, 9.0]
+    assert f.tt.tolist() == [10.0, 20.0, 12.0, 25.0, 9.0]
+    assert not hasattr(f.get(1), "a") and not hasattr(f.get(1), "tt")
+
+
 @pytest.mark.parametrize("backend", ["css", "bt"])
 def test_buildmap_probe_roundtrip(backend):
     f = make_forest(backend)
     ranges = np.array([[4, 6]])  # both d=0 and d=1 start the path
     u = np.array([100, 200, 300])
     m = f.build_map(1, ranges, fixed(0, 1000), None, None, u)
-    assert m == {(0, 0): 0.0, (1, 0): 0.0}
-    xs = f.probe_map(2, 2, m)
-    assert sorted(xs) == [30.0, 37.0]
+    assert m.dtype == np.int64 and m.tolist() == [0, 2]  # rows of (0,0), (1,0)
+    assert f.probe_map(2, 2, m) == [30.0, 37.0]  # in scan order
 
 
 def test_buildmap_isa_filter():
     f = make_forest()
     m = f.build_map(1, np.array([[5, 6]]), fixed(0, 1000), None, None, None)
-    assert set(m) == {(1, 0)}
+    assert m.tolist() == [2]
 
 
 def test_buildmap_beta_truncation_in_scan_order():
     f = make_forest()
     m = f.build_map(1, np.array([[4, 6]]), fixed(0, 1000), None, 1, None)
-    assert set(m) == {(0, 0)}  # earliest t first
+    assert m.tolist() == [0]  # earliest t first
 
 
 def test_buildmap_user_filter():
     f = make_forest()
     u = np.array([7, 8, 7])
     m = f.build_map(1, np.array([[4, 6]]), fixed(0, 1000), 8, None, u)
-    assert set(m) == {(1, 0)}
+    assert m.tolist() == [2]
 
 
 def test_buildmap_exclude_d():
     f = make_forest()
     m = f.build_map(1, np.array([[4, 6]]), fixed(0, 1000), None, None,
                     None, exclude_d=0)
-    assert set(m) == {(1, 0)}
+    assert m.tolist() == [2]
 
 
 def test_buildmap_timeframe():
     f = make_forest()
     m = f.build_map(1, np.array([[4, 6]]), fixed(0, 1000), None, None,
                     None, timeframe=(150.0, 1000.0))
-    assert set(m) == {(1, 0)}
+    assert m.tolist() == [2]
 
 
 def test_buildmap_missing_segment():
     f = make_forest()
-    assert f.build_map(99, np.array([[0, 10]]), fixed(0, 1e9), None, None,
-                       None) == {}
+    m = f.build_map(99, np.array([[0, 10]]), fixed(0, 1e9), None, None,
+                    None)
+    assert m.dtype == np.int64 and len(m) == 0
+    assert f.probe_map(99, 2, m) == []
 
 
-def test_probemap_missing_entries():
-    f = make_forest()
-    assert f.probe_map(2, 2, {(42, 0): 1.0}) == []
-    assert f.probe_map(99, 2, {(0, 0): 0.0}) == []
+def test_periodic_beta_truncation_takes_time_of_day_order():
+    """A periodic scan visits candidates by time of day, not by date.
+
+    Entries at day 0 08:20 (d = 0) and day 1 08:05 (d = 1): with a
+    08:00-08:30 window and beta = 1 the scan returns d = 1, where a
+    chronological scan of one repetition after another would return d = 0.
+    """
+    rows = [(1, 8 * 3600 + 1200.0, 0, 0, 5.0, 5.0, 0, 0),
+            (1, DAY + 8 * 3600 + 300.0, 1, 1, 7.0, 7.0, 0, 0)]
+    f = TemporalForest(pd.DataFrame(rows, columns=["e", "t", "isa", "d",
+                                                   "tt", "a", "seq", "w"]))
+    ranges = np.array([[0, 2]])
+    window = periodic(8 * 3600, 8.5 * 3600)
+    assert f.build_map(1, ranges, window, None, None, None).tolist() == [1, 0]
+    m = f.build_map(1, ranges, window, None, 1, None)
+    assert f.first[1] == 1 and m.tolist() == [1]
+    assert f.probe_map(1, 1, m) == [7.0]
 
 
 def test_partition_aware_isa_ranges():
@@ -135,13 +148,15 @@ def test_partition_aware_isa_ranges():
     # partition 0 matches isa 4, partition 1 does not
     ranges = np.array([[4, 5], [0, 0]])
     m = f.build_map(1, ranges, fixed(0, 100), None, None, None)
-    assert set(m) == {(0, 0)}
+    assert m.tolist() == [0]
 
 
 def test_memory_report():
     f = make_forest()
     rep = f.memory_report()
     assert rep["Forest"] == rep["leaves"] + rep["trees"] > 0
+    per_seg = sum(seg.nbytes()[0] for seg in f.segments.values())
+    assert rep["leaves"] == per_seg + (5 + 5 + 4) * 8  # a, tt, first
 
 
 def test_empty_forest():
@@ -149,3 +164,5 @@ def test_empty_forest():
                                              "a", "seq", "w"]))
     assert f.get(1) is None
     assert f.memory_report()["Forest"] == 0
+    m = f.build_map(1, np.array([[0, 10]]), fixed(0, 1e9), None, None, None)
+    assert len(m) == 0 and f.probe_map(1, 1, m) == []

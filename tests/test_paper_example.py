@@ -70,10 +70,12 @@ def test_path_counts(paper_index):
 
 def test_temporal_index_of_A(paper_index):
     # Phi_A: entries at t = 0, 2, 4, 6 with TT = 3, 4, 3, 3
-    seg = paper_index.forest.get(A)
+    f = paper_index.forest
+    seg = f.get(A)
     assert list(seg.t) == [0, 2, 4, 6]
-    assert list(seg.tt) == [3, 4, 3, 3]
-    assert list(seg.a) == [3, 4, 3, 3]   # first segment: a = TT
+    rows = f.first[seg.d] + seg.seq
+    assert list(f.tt[rows]) == [3, 4, 3, 3]
+    assert list(f.a[rows]) == [3, 4, 3, 3]   # first segment: a = TT
     assert list(seg.seq) == [0, 0, 0, 0]
     # all four A-records' ISA values fall inside R(<A>) = [4, 8)
     assert set(seg.isa) == {4, 5, 6, 7}
@@ -82,11 +84,15 @@ def test_temporal_index_of_A(paper_index):
 def test_buildmap_probemap_example(paper_index):
     # spq(<A,B,E>, [0,15)): tr0 and tr3 traverse it; durations 11 and 10
     ranges = paper_index.isa_ranges([A, B, E])
-    m = paper_index.forest.build_map(A, ranges, fixed(0, 15), None, None,
-                                     paper_index.user_of)
-    assert m == {(0, 0): 0.0, (3, 0): 0.0}  # a0 - TT0 = 0 on first segment
-    xs = paper_index.forest.probe_map(E, 3, m)
-    assert sorted(xs) == [10.0, 11.0]
+    f = paper_index.forest
+    m = f.build_map(A, ranges, fixed(0, 15), None, None, paper_index.user_of)
+    # trajectory rows start at first = [0, 3, 7, 10, 13]: tr0's and tr3's
+    # records at seq 0, where a0 - TT0 = 0
+    assert f.first.tolist() == [0, 3, 7, 10, 13]
+    assert m.tolist() == [0, 10]
+    assert (f.a[m] - f.tt[m]).tolist() == [0.0, 0.0]
+    xs = f.probe_map(E, 3, m)
+    assert xs == [11.0, 10.0]
 
 
 def test_example_query_with_user_filter(paper_index):
