@@ -20,6 +20,8 @@ segment's rows, one row per partition, at any partition size.
 """
 from __future__ import annotations
 
+import numpy as np
+
 from repro.core.intervals import DAY
 from repro.core.spq import SPQ
 from repro.index.snt import SNTIndex
@@ -37,9 +39,10 @@ class CardinalityEstimator:
         self.index = index
         self.mode = mode
 
-    def estimate(self, spq: SPQ) -> float:
-        """beta_hat for ``spq`` (never executes the query)."""
-        c_p = self.index.path_count(spq.path)
+    def estimate(self, spq: SPQ, ranges: np.ndarray | None = None) -> float:
+        """beta_hat for ``spq`` (never executes the query); ``ranges`` is
+        ``isa_ranges(spq.path)`` when the caller already has it."""
+        c_p = self.index.path_count(spq.path, ranges)
         if self.mode == "ISA" or c_p == 0:
             return float(c_p)
         e0 = spq.path[0]

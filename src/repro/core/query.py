@@ -9,6 +9,18 @@ the failed sub-query at its queue position, so results stay in path
 order and the shift-and-enlarge accumulators (sum of previous minima /
 ranges) remain well-defined.
 
+A periodic sub-query with ``beta`` climbs its whole sigma widening
+ladder (:func:`repro.core.splitting.widen_ladder`) in place: the
+estimator is asked rung by rung, and the first rung it lets through
+scans the ladder's widest window once, which counts the matches of
+every rung (:meth:`repro.index.snt.SNTIndex.get_travel_times`).  The
+answer is the first rung that both the estimate and the count let
+through, with the samples a scan of that rung alone returns, so the
+answers are those of widening and rescanning one rung at a time.  A
+ladder that no rung answers is relaxed from its widest rung (split,
+drop f, fixed fallback).  Each query searches a path's ISA ranges once
+and reuses them for scans, estimates and sigma_L probes.
+
 The result carries per-sub-query samples and bookkeeping (final
 sub-path lengths, scan/estimate counters) so the harness can compute
 every metric of sec. 5.3 plus the Fig. 7 average sub-path length.
@@ -18,15 +30,15 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.core.cardinality import CardinalityEstimator
 from repro.core.histogram import Histogram, convolve_all
 from repro.core.intervals import shift_and_enlarge
 from repro.core.partitioning import partition
-from repro.core.splitting import relax
+from repro.core.splitting import relax, widen_ladder
 from repro.core.spq import SPQ
-from repro.index.snt import SNTIndex
-
-_MAX_STEPS = 100_000  # safety bound; Procedure 1 terminates long before
+from repro.index.snt import SNTIndex, TravelTimeResult
 
 
 @dataclass
@@ -49,8 +61,12 @@ class QueryResult:
 
     hist: Histogram
     subs: list[SubResult]
+    #: forest scans made (``get_travel_times`` calls); a widening ladder
+    #: makes one, so with ``beta`` set there are at most 4|P| - 1
     n_index_scans: int = 0
+    #: estimator calls
     n_estimates: int = 0
+    #: sigma steps taken, including widenings the ladder scan answered
     n_relaxations: int = 0
 
     @property
@@ -71,15 +87,23 @@ def trip_query(index: SNTIndex, spq: SPQ, *, partition_method: str,
                estimator: CardinalityEstimator | None = None,
                exclude_d: int | None = None) -> QueryResult:
     """Procedure 6: compute the travel-time histogram for query ``spq``."""
+    isa: dict[tuple[int, ...], np.ndarray] = {}
+
+    def ranges(path: tuple[int, ...]) -> np.ndarray:
+        """isa_ranges(path), searched once per query."""
+        r = isa.get(path)
+        if r is None:
+            r = isa[path] = index.isa_ranges(path)
+        return r
 
     def card(sub: SPQ) -> int:
         """|T^P| for sigma_L probes: estimator if configured, else exact."""
+        r = ranges(sub.path)
         if estimator is not None:
-            return int(estimator.estimate(sub))
-        ranges = index.isa_ranges(sub.path)
-        if int((ranges[:, 1] - ranges[:, 0]).sum()) == 0:
+            return int(estimator.estimate(sub, r))
+        if int((r[:, 1] - r[:, 0]).sum()) == 0:
             return 0
-        m = index.forest.build_map(sub.path[0], ranges, sub.interval,
+        m = index.forest.build_map(sub.path[0], r, sub.interval,
                                    sub.user, None, index.user_of,
                                    exclude_d, sub.timeframe)
         return len(m)
@@ -92,37 +116,57 @@ def trip_query(index: SNTIndex, spq: SPQ, *, partition_method: str,
     s_acc = 0.0  # sum of previous sub-histograms' minima
     r_acc = 0.0  # sum of previous sub-histograms' ranges
 
-    steps = 0
+    def answer(q: SPQ, r: TravelTimeResult) -> None:
+        nonlocal s_acc, r_acc
+        subs.append(SubResult(q, r.xs, r.fallback))
+        lo, hi = min(r.xs), max(r.xs)
+        s_acc += lo
+        r_acc += hi - lo
+
     while queue:
-        steps += 1
-        if steps > _MAX_STEPS:
-            raise RuntimeError("tripQuery did not converge")
         q, shifted = queue.popleft()
         if q.interval.periodic and subs and not shifted:
             q = q.with_(interval=shift_and_enlarge(q.interval, s_acc, r_acc))
             shifted = True
-        if (estimator is not None and q.beta is not None
-                and q.interval.periodic):
-            res.n_estimates += 1
-            if estimator.estimate(q) < q.beta:
-                res.n_relaxations += 1
-                queue.extendleft(
-                    (nq, shifted) for nq in reversed(
-                        relax(q, split_method, card, index.tmax)))
+        if q.beta is None or not q.interval.periodic:
+            # a fixed window, or no beta to meet: one scan, relax on failure
+            res.n_index_scans += 1
+            r = index.get_travel_times(q.path, q.interval, q.user, q.beta,
+                                       exclude_d, q.timeframe,
+                                       ranges(q.path))
+            if r.xs:
+                answer(q, r)
                 continue
-        res.n_index_scans += 1
-        r = index.get_travel_times(q.path, q.interval, q.user, q.beta,
-                                   exclude_d, q.timeframe)
-        if r.xs:
-            subs.append(SubResult(q, r.xs, r.fallback))
-            lo, hi = min(r.xs), max(r.xs)
-            s_acc += lo
-            r_acc += hi - lo
-        else:
             res.n_relaxations += 1
-            queue.extendleft(
-                (nq, shifted) for nq in reversed(
-                    relax(q, split_method, card, index.tmax)))
+            queue.extendleft((nq, shifted) for nq in reversed(
+                relax(q, split_method, card, index.tmax)))
+            continue
+        # the widening ladder: every rung is a sigma step, and the first
+        # rung the estimator lets through scans the widest window once
+        ladder = widen_ladder(q.interval)
+        r, at = None, len(ladder)  # at: the rung the scan answers
+        for k, window in enumerate(ladder):
+            if estimator is not None:
+                res.n_estimates += 1
+                if estimator.estimate(q.with_(interval=window),
+                                      ranges(q.path)) < q.beta:
+                    res.n_relaxations += 1
+                    continue
+            # scan again only if the estimator turned away the answering rung
+            if r is None or at < k:
+                res.n_index_scans += 1
+                r = index.get_travel_times(q.path, ladder[-1], q.user,
+                                           q.beta, exclude_d, q.timeframe,
+                                           ranges(q.path), ladder[k:])
+                at = k + r.rung if r.xs else len(ladder)
+            if at == k:
+                answer(q.with_(interval=window), r)
+                break
+            res.n_relaxations += 1
+        else:
+            queue.extendleft((nq, shifted) for nq in reversed(
+                relax(q.with_(interval=ladder[-1]), split_method, card,
+                      index.tmax)))
 
     res.hist = convolve_all(
         [Histogram.from_values(s.xs, hist_h) for s in subs])

@@ -12,13 +12,20 @@ no beta.
 Fixed-interval sub-queries (the "SPQ Only" workload) have no window to
 widen or shrink, so they go straight to path splitting, matching the
 paper's observation that such queries keep very long sub-paths.
+
+Step (1) repeats until the window reaches alpha_max; the windows it
+passes through form the *widening ladder* of :func:`widen_ladder`.  The
+ladder's windows share a centre and nest, so ``trip_query`` answers a
+whole ladder with one scan of its widest window, and :func:`relax` only
+ever takes the ladder's next rung.
 """
 from __future__ import annotations
 
 import math
 from typing import Callable
 
-from repro.core.intervals import DEFAULT_ALPHAS, shrink, widen
+from repro.core.intervals import (DEFAULT_ALPHAS, Interval, all_time, shrink,
+                                  widen)
 from repro.core.spq import SPQ
 
 SPLIT_METHODS = ("regular", "longest_prefix")
@@ -51,23 +58,45 @@ def split_longest_prefix(spq: SPQ, card: Callable[[SPQ], int]) -> int:
     return best
 
 
+def widen_ladder(i: Interval) -> list[Interval]:
+    """Procedure 1 step (1) applied until it no longer applies:
+    ``[i, w1, w2, ...]``, each rung the previous one widened to the next
+    size in A.
+
+    Each rung is built from the previous one, so the float bounds are
+    the ones a rung-by-rung relaxation produces.  A fixed interval, or a
+    periodic one already at alpha_max, is its own ladder.  A widening
+    that does not grow the window (bounds too large for float roundoff
+    to register a pad) ends the ladder, so every ladder is finite.
+    """
+    alpha_max = DEFAULT_ALPHAS[-1]
+    ladder = [i]
+    # 1e-6 s tolerances absorb float roundoff from widen/shift-and-enlarge
+    while i.periodic and i.size < alpha_max - 1e-6:
+        bigger = next((a for a in DEFAULT_ALPHAS if a > i.size + 1e-6),
+                      alpha_max)
+        w = widen(i, bigger)
+        if not w.size > i.size:
+            break
+        ladder.append(w)
+        i = w
+    return ladder
+
+
 def relax(spq: SPQ, split_method: str, card: Callable[[SPQ], int],
           tmax: float) -> list[SPQ]:
     """Procedure 1: widen, else split, else drop f, else fixed-interval.
 
     Returns the replacement sub-query sequence for ``spq``.
     """
-    alpha_min, alpha_max = DEFAULT_ALPHAS[0], DEFAULT_ALPHAS[-1]
     i = spq.interval
-    # 1e-6 s tolerances absorb float roundoff from widen/shift-and-enlarge
-    if i.periodic and i.size < alpha_max - 1e-6:
-        bigger = next((a for a in DEFAULT_ALPHAS if a > i.size + 1e-6),
-                      alpha_max)
-        return [spq.with_(interval=widen(i, bigger))]
+    ladder = widen_ladder(i)
+    if len(ladder) > 1:
+        return [spq.with_(interval=ladder[1])]
     if len(spq.path) > 1:
         split_fn = (split_regular if split_method == "regular"
                     else split_longest_prefix)
-        i2 = shrink(i, alpha_min) if i.periodic else i
+        i2 = shrink(i, DEFAULT_ALPHAS[0]) if i.periodic else i
         # probe prefixes with the window the halves will actually get
         m = split_fn(spq.with_(interval=i2), card)
         m = min(max(m, 1), len(spq.path) - 1)
@@ -77,7 +106,6 @@ def relax(spq: SPQ, split_method: str, card: Callable[[SPQ], int],
         ]
     if spq.user is not None:
         return [spq.with_(user=None)]
-    from repro.core.intervals import all_time
     tm = tmax if math.isfinite(tmax) else math.inf
     return [spq.with_(interval=all_time(tm), user=None, beta=None,
                       timeframe=None)]

@@ -10,6 +10,7 @@ results with ground-truth sub-path durations after arbitrary splits.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 from repro.core.intervals import Interval
@@ -29,6 +30,8 @@ class SPQ:
     def __post_init__(self) -> None:
         if len(self.path) == 0:
             raise ValueError("SPQ path must be non-empty")
+        if math.isnan(self.interval.ts) or math.isnan(self.interval.te):
+            raise ValueError(f"SPQ window bound is NaN: {self.interval}")
 
     @property
     def hi(self) -> int:

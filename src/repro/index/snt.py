@@ -32,6 +32,8 @@ class TravelTimeResult:
 
     xs: list[float]
     fallback: bool = False
+    #: for a widening-ladder scan, the index of the rung that answered
+    rung: int = 0
 
 
 class SNTIndex:
@@ -62,16 +64,19 @@ class SNTIndex:
         """(W, 2) array of per-partition ISA ranges [st, ed) for ``path``."""
         return self.fms[0].isa_ranges(path)
 
-    def path_count(self, path) -> int:
-        """Exact strict-traversal count c_P = sum_w (ed_w - st_w)."""
-        r = self.isa_ranges(path)
+    def path_count(self, path, ranges: np.ndarray | None = None) -> int:
+        """Exact strict-traversal count c_P = sum_w (ed_w - st_w), from
+        ``ranges`` when the caller already has ``isa_ranges(path)``."""
+        r = self.isa_ranges(path) if ranges is None else ranges
         return int((r[:, 1] - r[:, 0]).sum())
 
     # -- Procedure 5 ------------------------------------------------------
     def get_travel_times(self, path, interval: Interval,
                          user: int | None = None, beta: int | None = None,
                          exclude_d: int | None = None,
-                         timeframe: tuple[float, float] | None = None
+                         timeframe: tuple[float, float] | None = None,
+                         ranges: np.ndarray | None = None,
+                         rungs: list[Interval] | None = None
                          ) -> TravelTimeResult:
         """getTravelTimes: all/first-beta travel times of strict traversals.
 
@@ -82,9 +87,16 @@ class SNTIndex:
         to ``estimateTT``.  A path holding an id that is not an edge of
         the network (edge ids are ``1..n_edges``) raises ``ValueError``:
         no relaxation could ever answer it.
+
+        ``ranges`` is ``isa_ranges(path)`` when the caller already has
+        it.  ``rungs`` (periodic, with ``beta``) is a widening ladder
+        ending at ``interval``: one scan answers the first rung with
+        ``beta`` matches, as a scan of that rung alone would, and
+        ``rung`` says which; an empty result means no rung had them.
         """
         path = list(path)
-        ranges = self.isa_ranges(path)
+        if ranges is None:
+            ranges = self.isa_ranges(path)
         if int((ranges[:, 1] - ranges[:, 0]).sum()) == 0:
             bad = [e for e in path if not 1 <= e <= self.net.n_edges]
             if bad:
@@ -93,15 +105,18 @@ class SNTIndex:
                 return TravelTimeResult([self.net.estimate_tt(path[0])],
                                         fallback=True)
             return TravelTimeResult([])
+        counts = None if rungs is None else np.empty(len(rungs), np.int64)
         m = self.forest.build_map(path[0], ranges, interval, user, beta,
-                                  self.user_of, exclude_d, timeframe)
+                                  self.user_of, exclude_d, timeframe,
+                                  rungs, counts)
         if beta is not None and len(m) < beta and interval.periodic:
             return TravelTimeResult([])
+        rung = 0 if rungs is None else int(np.count_nonzero(counts < beta))
         xs = self.forest.probe_map(path[-1], len(path), m)
         if not xs and len(path) == 1:
             return TravelTimeResult([self.net.estimate_tt(path[0])],
-                                    fallback=True)
-        return TravelTimeResult(xs)
+                                    fallback=True, rung=rung)
+        return TravelTimeResult(xs, rung=rung)
 
     # -- estimator support ------------------------------------------------
     def tod_selectivity(self, e: int, interval: Interval) -> float:

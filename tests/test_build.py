@@ -17,13 +17,24 @@ def both_indexes(spark, spark_dataset):
 
 
 def _sample_paths(idx, n=25, seed=0):
+    """Five random single segments, then up to ``n`` real 2-6-segment
+    sub-paths of random trajectories."""
     rng = np.random.default_rng(seed)
-    segs = sorted(idx.forest.segments)
+    f = idx.forest
+    segs = sorted(f.segments)
     out = [[int(rng.choice(segs))] for _ in range(5)]
-    # multi-segment paths taken from real trajectories
-    for e in segs[:n]:
-        lv = idx.forest.segments[e]
-        out.append([e])
+    # record seq of trajectory d is row first[d] + seq in trajectory order
+    edge = np.empty(int(f.first[-1]), dtype=np.int64)
+    for e, lv in f.segments.items():
+        edge[f.first[lv.d] + lv.seq] = e
+    n_trips = len(f.first) - 1
+    for d in rng.choice(n_trips, size=min(n, n_trips), replace=False):
+        trip = edge[f.first[d]:f.first[d + 1]]
+        k = int(rng.integers(2, 7))
+        if len(trip) >= k:
+            s = int(rng.integers(len(trip) - k + 1))
+            out.append(trip[s:s + k].tolist())
+    assert sum(len(p) > 1 for p in out) > n // 2
     return out
 
 

@@ -166,3 +166,28 @@ def test_empty_forest():
     assert f.memory_report()["Forest"] == 0
     m = f.build_map(1, np.array([[0, 10]]), fixed(0, 1e9), None, None, None)
     assert len(m) == 0 and f.probe_map(1, 1, m) == []
+
+
+@pytest.mark.parametrize("backend", ["css", "bt"])
+def test_rung_blocks_are_each_rungs_own_scan(backend):
+    """Inside one scan of a ladder's widest window, each rung's block is
+    exactly the rung's own scan, in the same order, midnight included."""
+    from repro.core.splitting import widen_ladder
+    rng = np.random.default_rng(5)
+    # 600 entries over 20 days, a third of them within 2 h of midnight
+    tod = np.concatenate([rng.uniform(0, DAY, 400),
+                          rng.uniform(-2 * 3600, 2 * 3600, 200) % DAY])
+    ts = np.sort(rng.integers(0, 20, len(tod)) * DAY + tod)
+    lv = make_leaves(ts, backend=backend)
+    for centre in (8 * 3600, 0.0, DAY - 600, 700, 3 * DAY + 1800):
+        for half in (450.0, 200.0, 1000.0, 4000.0):
+            ladder = widen_ladder(periodic(centre - half, centre + half))
+            scan = lv.candidates(ladder[-1])
+            for (s, e), rung in zip(lv.rung_blocks(ladder[-1], ladder),
+                                    ladder):
+                assert scan[s:e].tolist() == lv.candidates(rung).tolist()
+    # a rung of negative size matches nothing
+    for ts, te in ((1000, 0), (85000, 85000 - 2 * DAY)):
+        ladder = widen_ladder(periodic(ts, te))
+        (s, e) = lv.rung_blocks(ladder[-1], ladder)[0]
+        assert s == e and len(lv.candidates(ladder[0])) == 0

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from repro.core.cardinality import CardinalityEstimator
-from repro.core.intervals import DAY, DEFAULT_ALPHAS, fixed, periodic
+from repro.core.intervals import DAY, all_time, fixed, periodic
 from repro.core.query import trip_query
 from repro.core.spq import SPQ
 from tests.conftest import A, B, C, D, E, U1
@@ -128,14 +128,7 @@ def test_grid_terminates_on_generated_data(small_index, pm, sm):
     # take a real route path from the forest data
     segs = sorted(seg.forest.segments)
     d0 = int(seg.forest.segments[segs[0]].d[0])
-    # reconstruct trajectory d0's path
-    rows = []
-    for e, lv in seg.forest.segments.items():
-        for j in np.nonzero(lv.d == d0)[0]:
-            rows.append((int(lv.seq[j]), e, float(lv.t[j])))
-    rows.sort()
-    path = tuple(e for _s, e, _t in rows)
-    t0 = rows[0][2]
+    path, t0 = _route(seg, d0)
     spq = SPQ(path=path, interval=periodic(t0 % DAY - 450, t0 % DAY + 450),
               beta=10)
     res = trip_query(seg, spq, partition_method=pm, split_method=sm,
@@ -143,3 +136,60 @@ def test_grid_terminates_on_generated_data(small_index, pm, sm):
     assert res.subs and res.estimate > 0
     covered = sorted((s.spq.lo, s.spq.hi) for s in res.subs)
     assert covered[0][0] == 0 and covered[-1][1] == len(path)
+
+
+def test_nan_window_bounds_rejected(paper_index):
+    nan = float("nan")
+    for ivl in (periodic(nan, nan), periodic(0, nan), fixed(nan, 15)):
+        with pytest.raises(ValueError, match="NaN"):
+            SPQ(path=(A, B, E), interval=ivl, beta=2)
+    # an unbounded fixed window is valid
+    spq = SPQ(path=(A, B, E), interval=all_time(), beta=2)
+    res = trip_query(paper_index, spq, partition_method="none",
+                     split_method="regular")
+    assert sorted(res.subs[0].xs) == [10.0, 11.0]
+
+
+@pytest.mark.parametrize("ivl", [periodic(DAY - 300, DAY + 300),
+                                 periodic(-300, 300),
+                                 periodic(5, 5 + DAY),
+                                 periodic(-DAY, 2 * DAY)])
+def test_midnight_and_day_spanning_windows(paper_index, ivl):
+    """The example trips start just after midnight (0-6 s): a window
+    wrapping midnight or spanning 24 h or more finds both <A, B, E>
+    trips, 11 s and 10 s, in its first rung."""
+    spq = SPQ(path=(A, B, E), interval=ivl, beta=2)
+    res = trip_query(paper_index, spq, partition_method="none",
+                     split_method="regular")
+    assert [(s.spq.interval, sorted(s.xs), s.fallback)
+            for s in res.subs] == [(ivl, [10.0, 11.0], False)]
+    assert (res.n_index_scans, res.n_relaxations) == (1, 0)
+
+
+def _route(index, d0):
+    """Trajectory ``d0``'s path and start time, read from the forest."""
+    rows = []
+    for e, lv in index.forest.segments.items():
+        for j in np.nonzero(lv.d == d0)[0]:
+            rows.append((int(lv.seq[j]), e, float(lv.t[j])))
+    rows.sort()
+    return tuple(e for _s, e, _t in rows), rows[0][2]
+
+
+@pytest.mark.parametrize("pm", ["p1", "p3", "zone", "none"])
+@pytest.mark.parametrize("sm", ["regular", "longest_prefix"])
+@pytest.mark.parametrize("mode", [None, "CSS-Acc"])
+def test_scans_bounded_by_path_length(small_index, pm, sm, mode):
+    """With beta set, each node of the split tree makes one ladder scan
+    and a single-segment leaf at most two more (drop f, fixed fallback),
+    so a query makes at most 4|P| - 1 scans.  A scan per window tried
+    breaks this bound on these queries when no estimator prunes."""
+    est = CardinalityEstimator(small_index, mode) if mode else None
+    for d0 in range(0, 400, 40):
+        path, t0 = _route(small_index, d0)
+        for user in (None, int(small_index.user_of[d0])):
+            spq = SPQ(path=path, beta=20, user=user,
+                      interval=periodic(t0 % DAY - 450, t0 % DAY + 450))
+            res = trip_query(small_index, spq, partition_method=pm,
+                             split_method=sm, estimator=est, exclude_d=d0)
+            assert 0 < res.n_index_scans <= 4 * len(path) - 1

@@ -4,7 +4,8 @@ import math
 import pytest
 
 from repro.core.intervals import DEFAULT_ALPHAS, fixed, periodic
-from repro.core.splitting import relax, split_longest_prefix, split_regular
+from repro.core.splitting import (relax, split_longest_prefix, split_regular,
+                                  widen_ladder)
 from repro.core.spq import SPQ
 
 P = (11, 12, 13, 14, 15, 16)
@@ -29,6 +30,28 @@ def test_widen_steps_through_alpha_list():
         sub = out[0]
         assert sub.interval.size == pytest.approx(expected)
         assert sub.path == P  # widening never touches the path
+
+
+def test_widen_ladder_is_the_chain_of_relax_widenings():
+    sub = q(size=700)
+    ladder = widen_ladder(sub.interval)
+    assert [round(i.size) for i in ladder] == [700] + [
+        round(a) for a in DEFAULT_ALPHAS]
+    for nxt in ladder[1:]:
+        (sub,) = relax(sub, "regular", no_card, 1e9)
+        assert sub.interval == nxt  # same float bounds, rung by rung
+    assert widen_ladder(ladder[-1]) == [ladder[-1]]
+    fixed_ivl = fixed(0, 1e7)
+    assert widen_ladder(fixed_ivl) == [fixed_ivl]
+
+
+def test_widen_ladder_ends_when_widening_cannot_grow():
+    # at 1e20 s a 450 s pad is below float resolution: no rung is added,
+    # so relax splits instead of widening forever
+    huge = periodic(1e20, 1e20 + 900)
+    assert widen_ladder(huge) == [huge]
+    sub = SPQ(path=P, interval=huge, beta=10)
+    assert len(relax(sub, "regular", no_card, 1e9)) == 2
 
 
 def test_split_after_alphas_exhausted():
