@@ -5,8 +5,8 @@ Estimates ``beta_hat = seltod * seltf * selu * cP`` where
 * ``cP = ed - st`` summed over temporal partitions — the *exact* number
   of strict traversals, read off the FM-index in O(|P| log);
 * ``seltod`` — selectivity of the periodic window: Eq. 1 (uniform,
-  window/24 h) in the *Fast* modes, Eq. 2 (time-of-day histogram of the
-  first segment) in the *Acc* modes;
+  window/24 h clamped to [0, 1]) in the *Fast* modes, Eq. 2 (time-of-day
+  histogram of the first segment) in the *Acc* modes;
 * ``seltf`` — selectivity of an absolute time-frame bound: Eq. 3
   (naive fraction of the segment's observed time span) in the BT modes,
   the exact CSS-tree range count in the CSS modes;
@@ -22,9 +22,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.intervals import DAY
 from repro.core.spq import SPQ
-from repro.index.snt import SNTIndex
+from repro.index.snt import SNTIndex, uniform_selectivity
 
 ESTIMATOR_MODES = ("ISA", "BT-Fast", "BT-Acc", "CSS-Fast", "CSS-Acc")
 SEL_USER = 0.1  # Selinger et al. default for an equality predicate
@@ -51,7 +50,7 @@ class CardinalityEstimator:
             if self.mode.endswith("Acc"):
                 sel *= self.index.tod_selectivity(e0, spq.interval)
             else:
-                sel *= min(1.0, spq.interval.size / DAY)
+                sel *= uniform_selectivity(spq.interval)
         if spq.timeframe is not None:
             sel *= self._seltf(e0, spq.timeframe)
         if spq.user is not None:

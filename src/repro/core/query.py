@@ -9,17 +9,21 @@ the failed sub-query at its queue position, so results stay in path
 order and the shift-and-enlarge accumulators (sum of previous minima /
 ranges) remain well-defined.
 
-A periodic sub-query with ``beta`` climbs its whole sigma widening
-ladder (:func:`repro.core.splitting.widen_ladder`) in place: the
-estimator is asked rung by rung, and the first rung it lets through
-scans the ladder's widest window once, which counts the matches of
-every rung (:meth:`repro.index.snt.SNTIndex.get_travel_times`).  The
-answer is the first rung that both the estimate and the count let
-through, with the samples a scan of that rung alone returns, so the
-answers are those of widening and rescanning one rung at a time.  A
-ladder that no rung answers is relaxed from its widest rung (split,
-drop f, fixed fallback).  Each query searches a path's ISA ranges once
-and reuses them for scans, estimates and sigma_L probes.
+Every sub-query climbs its sigma widening ladder
+(:func:`repro.core.splitting.widen_ladder`) in place; a fixed window, a
+window already at alpha_max or a sub-query without ``beta`` is a
+one-rung ladder.  For a periodic sub-query with ``beta`` the estimator
+is asked rung by rung, and the first rung it lets through scans the
+ladder's widest window once
+(:meth:`repro.index.snt.SNTIndex.get_travel_times`), which finds the
+first rung with ``beta`` matches.  The answer is the first rung that
+both the estimate and the scan let through, with the samples a scan of
+that rung alone returns, so the answers are those of widening and
+rescanning one rung at a time.  A ladder that no rung answers is
+relaxed from its widest rung (split, drop f, fixed fallback).  Each
+query searches a path's ISA ranges once and reuses them for scans,
+estimates and sigma_L probes.  A path holding an id that is not an
+edge is rejected before partitioning.
 
 The result carries per-sub-query samples and bookkeeping (final
 sub-path lengths, scan/estimate counters) so the harness can compute
@@ -38,7 +42,7 @@ from repro.core.intervals import shift_and_enlarge
 from repro.core.partitioning import partition
 from repro.core.splitting import relax, widen_ladder
 from repro.core.spq import SPQ
-from repro.index.snt import SNTIndex, TravelTimeResult
+from repro.index.snt import SNTIndex
 
 
 @dataclass
@@ -86,7 +90,11 @@ def trip_query(index: SNTIndex, spq: SPQ, *, partition_method: str,
                split_method: str, hist_h: float = 10.0,
                estimator: CardinalityEstimator | None = None,
                exclude_d: int | None = None) -> QueryResult:
-    """Procedure 6: compute the travel-time histogram for query ``spq``."""
+    """Procedure 6: compute the travel-time histogram for query ``spq``.
+
+    Raises ``ValueError`` if ``spq.path`` holds an id that is not an edge.
+    """
+    index.net.check_path(spq.path)
     isa: dict[tuple[int, ...], np.ndarray] = {}
 
     def ranges(path: tuple[int, ...]) -> np.ndarray:
@@ -116,37 +124,19 @@ def trip_query(index: SNTIndex, spq: SPQ, *, partition_method: str,
     s_acc = 0.0  # sum of previous sub-histograms' minima
     r_acc = 0.0  # sum of previous sub-histograms' ranges
 
-    def answer(q: SPQ, r: TravelTimeResult) -> None:
-        nonlocal s_acc, r_acc
-        subs.append(SubResult(q, r.xs, r.fallback))
-        lo, hi = min(r.xs), max(r.xs)
-        s_acc += lo
-        r_acc += hi - lo
-
     while queue:
         q, shifted = queue.popleft()
         if q.interval.periodic and subs and not shifted:
             q = q.with_(interval=shift_and_enlarge(q.interval, s_acc, r_acc))
             shifted = True
-        if q.beta is None or not q.interval.periodic:
-            # a fixed window, or no beta to meet: one scan, relax on failure
-            res.n_index_scans += 1
-            r = index.get_travel_times(q.path, q.interval, q.user, q.beta,
-                                       exclude_d, q.timeframe,
-                                       ranges(q.path))
-            if r.xs:
-                answer(q, r)
-                continue
-            res.n_relaxations += 1
-            queue.extendleft((nq, shifted) for nq in reversed(
-                relax(q, split_method, card, index.tmax)))
-            continue
-        # the widening ladder: every rung is a sigma step, and the first
-        # rung the estimator lets through scans the widest window once
-        ladder = widen_ladder(q.interval)
+        # every sigma widening is a rung of the ladder; a fixed window, a
+        # window at alpha_max or a sub-query without beta is one rung
+        ladder = (widen_ladder(q.interval) if q.beta is not None
+                  else [q.interval])
         r, at = None, len(ladder)  # at: the rung the scan answers
         for k, window in enumerate(ladder):
-            if estimator is not None:
+            if (estimator is not None and q.beta is not None
+                    and window.periodic):
                 res.n_estimates += 1
                 if estimator.estimate(q.with_(interval=window),
                                       ranges(q.path)) < q.beta:
@@ -160,7 +150,10 @@ def trip_query(index: SNTIndex, spq: SPQ, *, partition_method: str,
                                            ranges(q.path), ladder[k:])
                 at = k + r.rung if r.xs else len(ladder)
             if at == k:
-                answer(q.with_(interval=window), r)
+                subs.append(SubResult(q.with_(interval=window), r.xs,
+                                      r.fallback))
+                s_acc += min(r.xs)
+                r_acc += max(r.xs) - min(r.xs)
                 break
             res.n_relaxations += 1
         else:

@@ -26,13 +26,20 @@ from repro.temporal.forest import TemporalForest
 TOD_BUCKET = 600.0
 
 
+def uniform_selectivity(interval: Interval) -> float:
+    """Eq. 1: the window's share of a day, clamped to [0, 1] so that an
+    inverted window selects nothing and one of 24 h or more everything."""
+    return min(1.0, max(0.0, interval.size / DAY))
+
+
 @dataclass
 class TravelTimeResult:
     """Outcome of one sub-query: samples, or the speed-limit fallback."""
 
     xs: list[float]
     fallback: bool = False
-    #: for a widening-ladder scan, the index of the rung that answered
+    #: index in the scanned ladder's rungs of the rung whose own scan
+    #: gives ``xs``: the first with ``beta`` matches (0 for one rung)
     rung: int = 0
 
 
@@ -89,34 +96,32 @@ class SNTIndex:
         no relaxation could ever answer it.
 
         ``ranges`` is ``isa_ranges(path)`` when the caller already has
-        it.  ``rungs`` (periodic, with ``beta``) is a widening ladder
-        ending at ``interval``: one scan answers the first rung with
-        ``beta`` matches, as a scan of that rung alone would, and
-        ``rung`` says which; an empty result means no rung had them.
+        it.  ``rungs`` (with ``beta``) is a widening ladder ending at
+        ``interval``, ``None`` the one-rung ladder: one scan answers the
+        first rung with ``beta`` matches, as a scan of that rung alone
+        would, and ``rung`` says which; an empty result of a periodic
+        ladder means no rung had them.
         """
         path = list(path)
         if ranges is None:
             ranges = self.isa_ranges(path)
         if int((ranges[:, 1] - ranges[:, 0]).sum()) == 0:
-            bad = [e for e in path if not 1 <= e <= self.net.n_edges]
-            if bad:
-                raise ValueError(f"unknown edge id {bad[0]} in path {path}")
+            self.net.check_path(path)
             if len(path) == 1:
                 return TravelTimeResult([self.net.estimate_tt(path[0])],
                                         fallback=True)
             return TravelTimeResult([])
-        counts = None if rungs is None else np.empty(len(rungs), np.int64)
+        at = [0]
         m = self.forest.build_map(path[0], ranges, interval, user, beta,
                                   self.user_of, exclude_d, timeframe,
-                                  rungs, counts)
+                                  rungs, at)
         if beta is not None and len(m) < beta and interval.periodic:
             return TravelTimeResult([])
-        rung = 0 if rungs is None else int(np.count_nonzero(counts < beta))
         xs = self.forest.probe_map(path[-1], len(path), m)
         if not xs and len(path) == 1:
             return TravelTimeResult([self.net.estimate_tt(path[0])],
-                                    fallback=True, rung=rung)
-        return TravelTimeResult(xs, rung=rung)
+                                    fallback=True, rung=at[0])
+        return TravelTimeResult(xs, rung=at[0])
 
     # -- estimator support ------------------------------------------------
     def tod_selectivity(self, e: int, interval: Interval) -> float:
@@ -124,16 +129,18 @@ class SNTIndex:
 
         Sums, over segment ``e``'s rows of the prefix-sum store (one per
         partition), the last column for the total and the two bounding
-        columns of each in-day range for the window.  A segment with no
-        entries, or an id outside ``0..|Σ|-1``, gets the uniform Eq. 1.
+        columns of each in-day range for the window.  The two ranges of a
+        window just short of a day can share a bucket and count it twice,
+        so the sum is capped at 1.  A segment with no entries, or an id
+        outside ``0..|Σ|-1``, gets the uniform Eq. 1.
         """
         first = self.tod_first
         if not 0 <= e < len(first) - 1:
-            return interval.size / DAY
+            return uniform_selectivity(interval)
         rows = self.tod_hist[first[e]:first[e + 1]]
         tot = rows[:, -1].sum()
         if tot == 0:
-            return interval.size / DAY
+            return uniform_selectivity(interval)
         sel = 0
         for lo, hi in interval.tod_ranges():
             b0 = int(lo // TOD_BUCKET)
@@ -142,7 +149,7 @@ class SNTIndex:
                 sel += rows[:, b1 - 1].sum()
                 if b0 > 0:
                     sel -= rows[:, b0 - 1].sum()
-        return float(sel / tot)
+        return min(1.0, float(sel / tot))
 
     def segment_time_bounds(self, e: int) -> tuple[float, float] | None:
         """Earliest/latest entry timestamps of segment ``e`` (Eq. 3)."""

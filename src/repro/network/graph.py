@@ -65,6 +65,13 @@ class RoadNetwork:
         """Number of real edges (edge ids are 1..n_edges)."""
         return len(self.cat) - 1
 
+    def check_path(self, path) -> None:
+        """Raise ``ValueError`` on the first id of ``path`` that is not an
+        edge: no relaxation of a query holding one could answer it."""
+        for e in path:
+            if not 1 <= e <= self.n_edges:
+                raise ValueError(f"unknown edge id {e} in path {list(path)}")
+
     def is_main_road(self, e: int) -> bool:
         """True if ``e`` is a main road (motorway/trunk/primary) — pi_MDM."""
         return CATEGORIES[self.cat[e]] in MAIN_ROAD_CATEGORIES

@@ -15,8 +15,6 @@ query processing.
 """
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 
@@ -79,10 +77,6 @@ class BPlusTree:
         # the descent invariant (parent separator >= key) guarantees this
         # leaf contains the boundary, or is the rightmost leaf
         return node.start + i
-
-    def lower_bounds(self, values: Sequence[float]) -> np.ndarray:
-        """:meth:`lower_bound` of each of ``values``, one descent each."""
-        return np.array([self.lower_bound(v) for v in values], dtype=np.int64)
 
     def range_count(self, lo: float, hi: float) -> int:
         """Number of keys in ``[lo, hi)`` (range scan endpoints)."""

@@ -15,8 +15,6 @@ selectivity (sec. 4.4).
 """
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 
@@ -55,11 +53,6 @@ class CSSTree:
         lo = block * self.m
         node = self.keys[lo: lo + self.m]
         return min(n, lo + int(np.searchsorted(node, key, side="left")))
-
-    def lower_bounds(self, values: Sequence[float]) -> np.ndarray:
-        """:meth:`lower_bound` of each of ``values``: one binary search
-        of the key array, without the directory."""
-        return np.searchsorted(self.keys, values, side="left")
 
     def range_count(self, lo: float, hi: float) -> int:
         """Exact number of keys in ``[lo, hi)`` — two descents."""

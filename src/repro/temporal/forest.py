@@ -19,8 +19,9 @@ not by date.
 order, filters by per-partition ISA range, time and user predicates,
 stops after ``beta`` matches and returns their rows.  Given a sigma
 widening ladder (nested periodic windows with one centre), one scan of
-the widest window counts the matches of every rung: each rung is one
-contiguous run of that scan, in its own scan order.  A match's ISA lies
+the widest window holds the matches of every rung: a rung's matches are
+the scan's matches whose time of day lies in the rung's own
+``tod_ranges()``, in the rung's own scan order.  A match's ISA lies
 in the path's range, so its trajectory traverses the whole path from
 ``seq``, and ``probeMap`` (Procedure 4) is the gather
 ``a[row + |P| - 1] - (a[row] - TT[row])``.
@@ -71,41 +72,6 @@ class SegmentLeaves:
             lo, hi = self.tod_tree.range_indices(lo_v, hi_v)
             parts.append(self.tod_order[lo:hi])
         return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
-
-    def rung_blocks(self, interval: Interval,
-                    rungs: list[Interval]) -> np.ndarray:
-        """Where each of ``rungs`` lies in ``candidates(interval)``.
-
-        ``rungs`` are periodic windows inside the periodic ``interval``,
-        sharing its centre (a widening ladder), each narrower than a
-        day.  Such a rung is one contiguous run of the scan: a rung that
-        wraps midnight ends the scan's pre-midnight part and starts its
-        post-midnight part.  Returns ``(len(rungs), 2)`` half-open
-        ``[start, end)`` positions, found by the lower-bound rule of the
-        scan's own range search; a rung of size <= 0 is empty.
-        """
-        wide = interval.tod_ranges()
-        parts = [r.tod_ranges() for r in rungs]
-        lb = self.tod_tree.lower_bounds(
-            [v for part in wide for v in part]
-            + [v for p in parts for v in (p[0][0], p[-1][1])]).tolist()
-        # [lo, hi) of each part of the scan, and where it starts in it
-        lo = lb[0:2 * len(wide):2]
-        hi = [max(h, l) for l, h in zip(lo, lb[1:2 * len(wide):2])]
-        off = [0, hi[0] - lo[0]]
-        split = wide[0][0]  # bounds below it lie in the post-midnight part
-
-        def pos(v: float, b: int) -> int:
-            j = 0 if v >= split else len(wide) - 1
-            return min(max(b, lo[j]), hi[j]) - lo[j] + off[j]
-
-        blocks = []
-        rung_lb = lb[2 * len(wide):]
-        for r, p, b0, b1 in zip(rungs, parts, rung_lb[0::2], rung_lb[1::2]):
-            start = pos(p[0][0], b0)
-            blocks.append((start, max(pos(p[-1][1], b1), start)
-                           if r.size > 0 else start))
-        return np.array(blocks, dtype=np.int64)
 
     def nbytes(self) -> tuple[int, int]:
         """(leaf array bytes, tree/auxiliary bytes) for the memory report."""
@@ -168,7 +134,7 @@ class TemporalForest:
                   exclude_d: int | None = None,
                   timeframe: tuple[float, float] | None = None,
                   rungs: list[Interval] | None = None,
-                  counts: np.ndarray | None = None) -> np.ndarray:
+                  answered: list[int] | None = None) -> np.ndarray:
         """Procedure 3: rows ``first[d] + seq`` of the first matches.
 
         ``ranges_by_w`` is a ``(W, 2)`` array of per-partition ISA ranges
@@ -180,17 +146,17 @@ class TemporalForest:
         ``beta=None`` retrieves all.  The rows come in scan order.
 
         ``rungs`` (with ``beta``) is a widening ladder whose widest rung
-        is ``interval``: the one scan of ``interval`` writes each rung's
-        match count into ``counts`` and returns the first ``beta``
+        is ``interval``; ``None`` is the one-rung ladder ``[interval]``.
+        A rung's matches are the scan's matches whose time of day lies in
+        the rung's ``tod_ranges()``, so the rows are the first ``beta``
         matches of the first rung that has ``beta`` of them, or of the
-        widest rung when none has.  Those are the rows a scan of that
-        rung alone returns.
+        widest rung when none has: the rows a scan of that rung alone
+        returns.  ``answered[0]`` receives that rung's index in
+        ``rungs``; a scan without candidates leaves it as it is.
         """
         leaves = self.get(e0)
         idx = _NO_ROWS if leaves is None else leaves.candidates(interval)
         if len(idx) == 0:
-            if counts is not None:
-                counts[:] = 0
             return _NO_ROWS
         w = leaves.w[idx]
         isa = leaves.isa[idx]
@@ -206,15 +172,21 @@ class TemporalForest:
             if user_of is None:
                 raise ValueError("user predicate requires the U map")
             mask &= user_of[leaves.d[idx]] == user
-        if rungs is None:
-            sel = idx[mask]
+        sel = idx[mask]
+        # the widest rung holds every match, so only narrower ones are
+        # tested, with the scan's own ``lo <= tod < hi`` comparisons
+        rungs = rungs or [interval]
+        tod = leaves.t[sel] % DAY if len(rungs) > 1 else None
+        for k, rung in enumerate(rungs[:-1]):
+            inside = np.logical_or.reduce(
+                [(lo <= tod) & (tod < hi) for lo, hi in rung.tod_ranges()])
+            if np.count_nonzero(inside) >= beta:
+                sel = sel[inside]
+                break
         else:
-            blocks = leaves.rung_blocks(interval, rungs)
-            cum = np.concatenate(([0], np.cumsum(mask)))
-            counts[:] = cum[blocks[:, 1]] - cum[blocks[:, 0]]
-            lo, hi = blocks[min(np.count_nonzero(counts < beta),
-                                len(rungs) - 1)]
-            sel = idx[lo:hi][mask[lo:hi]]
+            k = len(rungs) - 1
+        if answered is not None:
+            answered[0] = k
         if beta is not None:
             sel = sel[:beta]
         return self.first[leaves.d[sel]] + leaves.seq[sel]

@@ -105,3 +105,32 @@ def test_acc_partitioned_scan_equals_full(small_net, small_traversals):
     ivl = periodic(7 * 3600, 9 * 3600)
     assert part.tod_selectivity(seg, ivl) == pytest.approx(
         full.tod_selectivity(seg, ivl))
+
+
+@pytest.mark.parametrize("mode", ESTIMATOR_MODES)
+def test_estimate_between_zero_and_path_count(paper_index, small_index,
+                                              mode):
+    """0 <= beta_hat <= c_P for inverted windows, windows that wrap
+    midnight (up to one just short of a day, whose two ranges share a
+    time-of-day bucket) and windows of 24 h or more."""
+    windows = [periodic(1000, 0), periodic(40000, 39999.5),
+               periodic(0, -DAY), periodic(DAY - 300, DAY + 300),
+               periodic(-450, 450), periodic(300, 300 + DAY - 100),
+               periodic(0, DAY), periodic(5, 5 + DAY),
+               periodic(-DAY, 2 * DAY)]
+    rng = np.random.default_rng(9)
+    for _ in range(60):
+        ts = float(rng.uniform(-DAY, 2 * DAY))
+        size = float(rng.choice([-DAY, -1, 0, 300, DAY - 1, DAY, 3 * DAY]))
+        windows.append(periodic(ts, ts + size))
+    for index, paths in ((paper_index, [[A], [A, B], [A, B, E]]),
+                         (small_index, [[s] for s in
+                                        sorted(small_index.forest.segments)
+                                        [:20]])):
+        est = CardinalityEstimator(index, mode)
+        for path in paths:
+            c_p = index.path_count(path)
+            for ivl in windows:
+                for user, tf in ((None, None), (U1, (0.0, 5.0))):
+                    v = est.estimate(q(path, ivl, user=user, tf=tf))
+                    assert 0 <= v <= c_p, (path, ivl, user, tf)

@@ -168,26 +168,75 @@ def test_empty_forest():
     assert len(m) == 0 and f.probe_map(1, 1, m) == []
 
 
+def _bound_forest(ladders, backend):
+    """Segment 1's leaves on every rung bound of ``ladders`` (day 0, and
+    day 3 where that keeps the time of day exact) plus 300 random ones;
+    trajectory d's row is d, and odd trajectories sit in partition 1."""
+    rng = np.random.default_rng(11)
+    tods = [v % DAY for ladder in ladders for rung in ladder
+            for part in rung.tod_ranges() for v in part]
+    tods += rng.uniform(0, DAY, 300).tolist()
+    ts = tods + [v + 3 * DAY for v in tods if (v + 3 * DAY) % DAY == v]
+    n = len(ts)
+    rows = pd.DataFrame({"e": 1, "t": ts, "isa": np.arange(n),
+                         "d": np.arange(n), "tt": 1.0, "a": 1.0, "seq": 0,
+                         "w": np.arange(n) % 2})
+    return TemporalForest(rows, backend=backend), n
+
+
 @pytest.mark.parametrize("backend", ["css", "bt"])
-def test_rung_blocks_are_each_rungs_own_scan(backend):
-    """Inside one scan of a ladder's widest window, each rung's block is
-    exactly the rung's own scan, in the same order, midnight included."""
+def test_ladder_rows_are_answering_rungs_own_scan(backend):
+    """A scan of a ladder's widest rung returns the rows, and names the
+    rung, of a plain ``build_map`` of the first rung with ``beta``
+    matches (else the widest), for every run of consecutive rungs.  Leaves
+    sit exactly on the rung bounds: a rung's ``lo`` is inside it, its
+    ``hi`` outside, midnight included."""
     from repro.core.splitting import widen_ladder
-    rng = np.random.default_rng(5)
-    # 600 entries over 20 days, a third of them within 2 h of midnight
-    tod = np.concatenate([rng.uniform(0, DAY, 400),
-                          rng.uniform(-2 * 3600, 2 * 3600, 200) % DAY])
-    ts = np.sort(rng.integers(0, 20, len(tod)) * DAY + tod)
-    lv = make_leaves(ts, backend=backend)
-    for centre in (8 * 3600, 0.0, DAY - 600, 700, 3 * DAY + 1800):
-        for half in (450.0, 200.0, 1000.0, 4000.0):
-            ladder = widen_ladder(periodic(centre - half, centre + half))
-            scan = lv.candidates(ladder[-1])
-            for (s, e), rung in zip(lv.rung_blocks(ladder[-1], ladder),
-                                    ladder):
-                assert scan[s:e].tolist() == lv.candidates(rung).tolist()
-    # a rung of negative size matches nothing
-    for ts, te in ((1000, 0), (85000, 85000 - 2 * DAY)):
-        ladder = widen_ladder(periodic(ts, te))
-        (s, e) = lv.rung_blocks(ladder[-1], ladder)[0]
-        assert s == e and len(lv.candidates(ladder[0])) == 0
+    ladders = [widen_ladder(periodic(c - h, c + h)) for c, h in (
+        (8 * 3600, 450.0), (DAY - 600, 1000.0), (700, 200.0),
+        (3 * DAY + 1800, 4000.0), (0.0, 450.0), (0.0, 1234.5))]
+    ladders += [widen_ladder(periodic(1000, 0)),        # negative size
+                widen_ladder(periodic(5000, 5000 + 7200)),  # at 120 min
+                widen_ladder(periodic(DAY - 3600, DAY + 5000))]
+    # wrapping rungs inside a wrapping widest rung; one-rung ladders
+    assert len(ladders[4][0].tod_ranges()) == 2
+    assert len(ladders[4][-1].tod_ranges()) == 2
+    assert ladders[6][0].size < 0 and len(ladders[6]) > 1
+    assert len(ladders[7]) == len(ladders[8]) == 1
+    f, n = _bound_forest(ladders, backend)
+    lv = f.get(1)
+    ranges = np.array([[0, n], [0, n // 2]])  # half of partition 1 matches
+    n_bounds = 0
+    for ladder in ladders:
+        for rung in ladder:
+            tod = lv.t[lv.candidates(rung)] % DAY
+            for lo, hi in rung.tod_ranges():
+                if hi > lo:
+                    assert lo in tod
+                    n_bounds += 1
+                if hi < DAY:
+                    assert hi not in tod
+        for i in range(len(ladder)):
+            for j in range(i + 1, len(ladder) + 1):
+                rungs = ladder[i:j]
+                plain = [f.build_map(1, ranges, r, None, None, None)
+                         for r in rungs]
+                for beta in {1, 2, 7, 10 ** 6} | {len(p) + o for p in plain
+                                                  for o in (0, 1)}:
+                    k = next((k for k, p in enumerate(plain)
+                              if len(p) >= beta), len(rungs) - 1)
+                    answered = [-1]
+                    got = f.build_map(1, ranges, rungs[-1], None, beta,
+                                      None, None, None, rungs, answered)
+                    assert got.tolist() == plain[k][:beta].tolist()
+                    scanned = len(lv.candidates(rungs[-1])) > 0
+                    assert answered[0] == (k if scanned else -1)
+    assert n_bounds > 40
+    # beta = None: a one-rung ladder returns the plain scan
+    one = ladders[7]
+    answered = [-1]
+    got = f.build_map(1, ranges, one[0], None, None, None, None, None, one,
+                      answered)
+    assert got.tolist() == f.build_map(1, ranges, one[0], None, None,
+                                       None).tolist()
+    assert answered == [0]

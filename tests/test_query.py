@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.cardinality import CardinalityEstimator
 from repro.core.intervals import DAY, all_time, fixed, periodic
+from repro.core.partitioning import PARTITION_METHODS
 from repro.core.query import trip_query
 from repro.core.spq import SPQ
 from tests.conftest import A, B, C, D, E, U1
@@ -193,3 +194,19 @@ def test_scans_bounded_by_path_length(small_index, pm, sm, mode):
             res = trip_query(small_index, spq, partition_method=pm,
                              split_method=sm, estimator=est, exclude_d=d0)
             assert 0 < res.n_index_scans <= 4 * len(path) - 1
+
+
+@pytest.mark.parametrize("pm", PARTITION_METHODS)
+@pytest.mark.parametrize("mode", [None, "CSS-Acc"])
+def test_non_edge_ids_rejected_before_partitioning(paper_index, pm, mode):
+    """An id outside 1..n_edges raises the index's ValueError under every
+    pi; a partitioner never reads a category or zone through it (a
+    negative id would read the last edge's)."""
+    est = CardinalityEstimator(paper_index, mode) if mode else None
+    n = paper_index.net.n_edges
+    for bad in (0, -1, n + 1, 10 ** 9):
+        for path in ((bad,), (A, B, bad), (bad, C, D)):
+            spq = SPQ(path=path, interval=periodic(0, 900), beta=1)
+            with pytest.raises(ValueError, match=f"unknown edge id {bad} "):
+                trip_query(paper_index, spq, partition_method=pm,
+                           split_method="regular", estimator=est)
