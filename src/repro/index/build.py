@@ -45,7 +45,6 @@ def _assemble(net: RoadNetwork, leaves: pd.DataFrame, *,
               backend: str) -> SNTIndex:
     """Driver-side assembly: strings -> FM-index -> ISA -> forest/U/ToD."""
     alphabet = net.n_edges + 1
-    leaves = leaves.copy()
     wvals, w = np.unique(leaves["w"].to_numpy(dtype=np.int64),
                          return_inverse=True)
     w = w.astype(np.int64)
@@ -54,21 +53,20 @@ def _assemble(net: RoadNetwork, leaves: pd.DataFrame, *,
     e = leaves["e"].to_numpy(dtype=np.int64)
     # string w: its leaves' symbols at pos, one $ (= 0) per trajectory;
     # the W strings are laid end to end, string w from start[w]
-    first_leaf = np.unique(d, return_index=True)[1]
+    w_of = np.full(int(d.max()) + 1, -1, dtype=np.int64)
+    w_of[d] = w
     lens = (np.bincount(w, minlength=n_part)
-            + np.bincount(w[first_leaf], minlength=n_part))
+            + np.bincount(w_of[w_of >= 0], minlength=n_part))
     start = np.cumsum(lens) - lens
     gpos = start[w] + leaves["pos"].to_numpy(dtype=np.int64)
     text = np.zeros(int(lens.sum()), dtype=np.int64)
     text[gpos] = e
     fm = FMIndex(np.split(text, start[1:]), alphabet)
-    leaves["w"] = w
-    leaves["isa"] = fm.isa[gpos]
-    del fm.isa  # the served index keeps only the search tables + occ
-
     forest = TemporalForest(
-        leaves[["e", "t", "isa", "d", "tt", "a", "seq", "w"]],
+        leaves[["e", "t", "d", "tt", "a", "seq"]].assign(
+            isa=fm.isa[gpos], w=w),
         backend=backend)
+    del fm.isa  # the served index keeps only the search tables + occ
 
     u_arr = leaves["u"].to_numpy(dtype=np.int64)
     user_of = np.full(int(d.max()) + 1, -1, dtype=np.int64)
@@ -80,11 +78,15 @@ def _assemble(net: RoadNetwork, leaves: pd.DataFrame, *,
     n_buckets = int(np.ceil(DAY / TOD_BUCKET))
     bucket = ((leaves["t"].to_numpy() % DAY) // TOD_BUCKET).astype(np.int64)
     bucket = np.minimum(bucket, n_buckets - 1)
-    keys, row = np.unique(e * n_part + w, return_inverse=True)
-    counts = np.bincount(row * n_buckets + bucket,
-                         minlength=len(keys) * n_buckets)
-    tod_hist = np.cumsum(counts.reshape(len(keys), n_buckets), axis=1)
-    tod_first = np.searchsorted(keys // n_part, np.arange(alphabet + 1))
+    pair = e * n_part + w
+    present = np.bincount(pair, minlength=alphabet * n_part) > 0
+    row = np.cumsum(present) - 1
+    n_rows = int(row[-1]) + 1
+    counts = np.bincount(row[pair] * n_buckets + bucket,
+                         minlength=n_rows * n_buckets)
+    tod_hist = np.cumsum(counts.reshape(n_rows, n_buckets), axis=1)
+    tod_first = np.append(0, np.cumsum(
+        present.reshape(alphabet, n_part).sum(axis=1)))
 
     tmax = float(leaves["t"].max() + leaves["tt"].max())
     return SNTIndex(net, fm, forest, user_of, tod_hist, tod_first, tmax)

@@ -131,8 +131,9 @@ class SNTIndex:
         partition), the last column for the total and the two bounding
         columns of each in-day range for the window.  The two ranges of a
         window just short of a day can share a bucket and count it twice,
-        so the sum is capped at 1.  A segment with no entries, or an id
-        outside ``0..|Σ|-1``, gets the uniform Eq. 1.
+        so the sum is capped at 1.  A window of size <= 0 selects nothing,
+        as in Eq. 1.  A segment with no entries, or an id outside
+        ``0..|Σ|-1``, gets the uniform Eq. 1.
         """
         first = self.tod_first
         if not 0 <= e < len(first) - 1:
@@ -143,6 +144,8 @@ class SNTIndex:
             return uniform_selectivity(interval)
         sel = 0
         for lo, hi in interval.tod_ranges():
+            if hi <= lo:
+                continue
             b0 = int(lo // TOD_BUCKET)
             b1 = min(rows.shape[1], int(np.ceil(hi / TOD_BUCKET)))
             if b1 > b0:

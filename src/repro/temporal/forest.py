@@ -100,10 +100,14 @@ class TemporalForest:
         self.first = np.empty(0, dtype=np.int64)
         if len(leaf_table) == 0:
             return
-        tbl = leaf_table.sort_values(["e", "t"], kind="stable")
-        e_arr = tbl["e"].to_numpy()
-        cols = {c: tbl[c].to_numpy() for c in ("t", "isa", "d", "tt", "a", "seq", "w")}
-        # new arrays, not views that would keep the table's float block alive
+        # rows in (e, t) order, ties in input order: a stable sort by t,
+        # then a stable sort of that order by e
+        e_in = leaf_table["e"].to_numpy()
+        o = np.argsort(leaf_table["t"].to_numpy(), kind="stable")
+        o = o[np.argsort(e_in[o], kind="stable")]
+        e_arr = e_in[o]
+        cols = {c: leaf_table[c].to_numpy()[o]
+                for c in ("t", "isa", "d", "tt", "a", "seq", "w")}
         d = cols["d"].astype(np.int64)
         self.first = np.concatenate(([0], np.cumsum(np.bincount(d))))
         row = self.first[d] + cols["seq"]
@@ -111,10 +115,11 @@ class TemporalForest:
         self.a[row] = cols["a"]
         self.tt = np.empty(len(row))
         self.tt[row] = cols["tt"]
-        uniq, starts = np.unique(e_arr, return_index=True)
+        starts = np.flatnonzero(np.r_[True, e_arr[1:] != e_arr[:-1]])
         bounds = np.append(starts, len(e_arr))
-        for i, e in enumerate(uniq):
+        for i, e in enumerate(e_arr[starts]):
             sl = slice(int(bounds[i]), int(bounds[i + 1]))
+            # copies that own their bytes: a slice would keep the column alive
             self.segments[int(e)] = SegmentLeaves(
                 t=cols["t"][sl].astype(np.float64),
                 isa=cols["isa"][sl].astype(np.int64),

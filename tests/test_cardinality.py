@@ -134,3 +134,29 @@ def test_estimate_between_zero_and_path_count(paper_index, small_index,
                 for user, tf in ((None, None), (U1, (0.0, 5.0))):
                     v = est.estimate(q(path, ivl, user=user, tf=tf))
                     assert 0 <= v <= c_p, (path, ivl, user, tf)
+
+
+@pytest.fixture(scope="module")
+def small_index_30d(small_net, small_traversals):
+    from repro.index.build import build_index_local
+    return build_index_local(small_net, small_traversals, partition_days=30)
+
+
+@pytest.mark.parametrize("mode", ["BT-Fast", "BT-Acc", "CSS-Fast", "CSS-Acc"])
+def test_empty_window_estimates_zero(small_index, small_index_30d, mode):
+    """A periodic window of size <= 0 matches no leaf, so beta_hat is 0,
+    also when both of its bounds fall in one time-of-day bucket (Eq. 2
+    once gave 0.057 at ts = 23453.4 on segment 322)."""
+    rng = np.random.default_rng(11)
+    starts = [23453.4] + [float(x) for x in rng.uniform(-DAY, 2 * DAY, 20)]
+    for index in (small_index, small_index_30d):
+        est = CardinalityEstimator(index, mode)
+        for e in [322] + sorted(index.forest.segments)[:10]:
+            assert index.path_count([e]) > 0
+            for ts in starts:
+                for size in (0.0, -10.0, -1000.0):
+                    ivl = periodic(ts, ts + size)
+                    assert index.forest.build_map(
+                        e, index.isa_ranges([e]), ivl, None, None,
+                        index.user_of).size == 0
+                    assert est.estimate(q([e], ivl)) == 0.0, (e, ts, size)

@@ -240,3 +240,94 @@ def test_ladder_rows_are_answering_rungs_own_scan(backend):
     assert got.tolist() == f.build_map(1, ranges, one[0], None, None,
                                        None).tolist()
     assert answered == [0]
+
+
+def _pandas_reference(table, backend):
+    """The former construction: a pandas stable sort by (e, t), then one
+    ``SegmentLeaves`` per segment from the sorted columns."""
+    tbl = table.sort_values(["e", "t"], kind="stable")
+    e_arr = tbl["e"].to_numpy()
+    cols = {c: tbl[c].to_numpy() for c in ("t", "isa", "d", "tt", "a",
+                                           "seq", "w")}
+    d = cols["d"].astype(np.int64)
+    first = np.concatenate(([0], np.cumsum(np.bincount(d))))
+    row = first[d] + cols["seq"]
+    a = np.empty(len(row))
+    a[row] = cols["a"]
+    tt = np.empty(len(row))
+    tt[row] = cols["tt"]
+    uniq, starts = np.unique(e_arr, return_index=True)
+    bounds = np.append(starts, len(e_arr))
+    segments = {}
+    for i, e in enumerate(uniq):
+        sl = slice(int(bounds[i]), int(bounds[i + 1]))
+        segments[int(e)] = SegmentLeaves(
+            t=cols["t"][sl].astype(np.float64),
+            isa=cols["isa"][sl].astype(np.int64),
+            d=cols["d"][sl].astype(np.int64),
+            seq=cols["seq"][sl].astype(np.int64),
+            w=cols["w"][sl].astype(np.int64),
+            backend=backend)
+    return segments, a, tt, first
+
+
+def _tree_shape(tree):
+    """Keys and levels of a CSS-tree; leaf runs and separators of a
+    B+-tree, root first."""
+    if hasattr(tree, "levels"):
+        return [tree.keys.tolist()] + [lv.tolist() for lv in tree.levels]
+    shape, level = [], [tree.root]
+    while level:
+        shape.append([(n.start, list(n.keys)) if hasattr(n, "start")
+                      else list(n.seps) for n in level])
+        level = [c for n in level for c in getattr(n, "children", [])]
+    return shape
+
+
+def _tied_leaf_table(seed=4):
+    """Shuffled leaf table whose (e, t) pairs repeat across trajectories,
+    and whose times of day repeat across days on each segment."""
+    rng = np.random.default_rng(seed)
+    n_traj, n_rec = 80, 12
+    tods = np.array([3600.0, 7200.0, 7200.5, 50000.0])
+    rows = []
+    for d in range(n_traj):
+        e = rng.integers(1, 6, n_rec)
+        t = rng.integers(0, 3, n_rec) * DAY + rng.choice(tods, n_rec)
+        tt = rng.uniform(1, 60, n_rec)
+        for seq in range(n_rec):
+            rows.append((e[seq], t[seq], rng.integers(0, 10 ** 6), d,
+                         tt[seq], tt[:seq + 1].sum(), seq, d % 3))
+    table = pd.DataFrame(rows, columns=["e", "t", "isa", "d", "tt", "a",
+                                        "seq", "w"])
+    return table.iloc[rng.permutation(len(table))].reset_index(drop=True)
+
+
+@pytest.mark.parametrize("backend", ["css", "bt"])
+def test_tie_order_equals_pandas_stable_sort(backend):
+    """Leaves with equal (e, t) keep their input row order, as the pandas
+    ``sort_values(["e", "t"], kind="stable")`` the forest once used."""
+    table = _tied_leaf_table()
+    dup = table.duplicated(["e", "t"], keep=False)
+    assert dup.sum() > 300  # most leaves share their (e, t) with another
+    assert (table.groupby("e")["t"].apply(
+        lambda t: (t % DAY).nunique() < t.nunique())).all()
+    f = TemporalForest(table, backend=backend)
+    segments, a, tt, first = _pandas_reference(table, backend)
+    assert sorted(f.segments) == sorted(segments) == [1, 2, 3, 4, 5]
+    for e, ref in segments.items():
+        got = f.segments[e]
+        for name in ("t", "isa", "d", "seq", "w", "tod_order"):
+            g, r = getattr(got, name), getattr(ref, name)
+            assert g.dtype == r.dtype and np.array_equal(g, r), (e, name)
+            assert g.base is None  # owns exactly its bytes
+        for tree in ("t_tree", "tod_tree"):
+            assert _tree_shape(getattr(got, tree)) == \
+                _tree_shape(getattr(ref, tree)), (e, tree)
+        assert got.nbytes() == ref.nbytes()
+    for g, r in ((f.a, a), (f.tt, tt), (f.first, first)):
+        assert g.dtype == r.dtype and np.array_equal(g, r)
+    ref_forest = TemporalForest(table.iloc[:0], backend=backend)
+    ref_forest.segments, ref_forest.a, ref_forest.tt, ref_forest.first = (
+        segments, a, tt, first)
+    assert f.memory_report() == ref_forest.memory_report()

@@ -154,7 +154,7 @@ def test_tod_store_matches_leaf_loop(small_net, small_traversals):
 def _tod_selectivity_by_partition(idx, e, interval):
     """Eq. 2 walking one bucket-count histogram per partition; the two
     ranges of a window just short of a day may share a bucket, so the
-    sum is capped at 1."""
+    sum is capped at 1, and an empty or inverted range counts nothing."""
     tot = sel = 0.0
     lv = idx.forest.get(e)
     for w in range(idx.n_partitions):
@@ -165,7 +165,8 @@ def _tod_selectivity_by_partition(idx, e, interval):
                   .astype(int), 1)
         tot += h.sum()
         for lo, hi in interval.tod_ranges():
-            sel += h[int(lo // 600):min(144, int(np.ceil(hi / 600)))].sum()
+            if hi > lo:
+                sel += h[int(lo // 600):min(144, int(np.ceil(hi / 600)))].sum()
     return interval.size / DAY if tot == 0 else min(1.0, float(sel / tot))
 
 
