@@ -1,26 +1,24 @@
 """SNT-index construction (paper sec. 4.1) — Spark dataflow + local twin.
 
-:func:`build_index` computes the leaf table with Spark DataFrame
-transformations (Catalyst end to end until one collect):
+:func:`build_index` runs one Spark stage over the traversals, the
+running aggregate ``a = sum(TT) over (partition by d order by seq)``
+(sec. 4.1.3), and collects it with ``d, u, seq, e, t, tt``.
+:func:`build_index_local` is the pandas twin of that stage (a grouped
+``cumsum``), used by non-Spark unit tests and as the equivalence oracle
+for the dataflow.
 
-1. *Trajectory summary*: group traversals by trajectory for start time
-   ``t0`` and length; assign the temporal partition
-   ``w = floor(t0 / partition_span)`` (sec. 4.3.2).
-2. *String offsets*: within each partition, order trajectories by
-   ``(t0, d)``; each trajectory's offset into the partition's
-   trajectory string is the window running sum of ``len + 1`` (the
-   ``+1`` is the ``$`` terminator).
-3. *Leaf attributes*: running aggregate ``a = sum(TT) over
-   (partition by d order by seq)`` and position ``pos = offset + seq``.
-
-:func:`build_index_local` is the pandas twin of the same recurrences,
-used by non-Spark unit tests and as the equivalence oracle for the
-Spark dataflow.  Both feed :func:`_assemble`, which densifies the
-partition ids to ``0..W-1`` (in time order), materialises the
-per-partition trajectory strings (unassigned positions are the ``$``
-terminators), builds one FM-index over them, joins ISA values back by
-position, and constructs the forest, the U map and the ToD histogram
-store.
+Both feed :func:`_assemble`, the one implementation of the string
+layout.  It puts the rows in ``(d, seq)`` order (Spark's collect order
+is arbitrary) and takes each trajectory's start time ``t0 = min(t)``
+and length.  The temporal partition is ``w = floor(t0 /
+partition_span)`` (sec. 4.3.2), densified to ``0..W-1`` in time order.
+Trajectories are laid out in ``(w, t0, d)`` order, each followed by one
+``$`` terminator, so the W partition strings lie end to end and record
+``seq`` of trajectory ``d`` sits at ``offset[d] + seq``, with
+``offset`` the exclusive running sum of ``len + 1``.  One FM-index is
+built over the W strings, each leaf's ISA value is read back by
+position, and the forest, the U map and the ToD histogram store are
+constructed.
 """
 from __future__ import annotations
 
@@ -38,45 +36,59 @@ from repro.index.snt import TOD_BUCKET, SNTIndex
 from repro.network.graph import RoadNetwork
 from repro.temporal.forest import TemporalForest
 
-LEAF_COLUMNS = ["w", "pos", "e", "t", "tt", "a", "seq", "d", "u"]
+LEAF_COLUMNS = ["d", "u", "seq", "e", "t", "tt", "a"]
 
 
 def _assemble(net: RoadNetwork, leaves: pd.DataFrame, *,
-              backend: str) -> SNTIndex:
-    """Driver-side assembly: strings -> FM-index -> ISA -> forest/U/ToD."""
+              partition_days: float | None, backend: str) -> SNTIndex:
+    """Driver-side assembly: string layout -> FM-index -> ISA -> forest/U/ToD."""
     alphabet = net.n_edges + 1
-    wvals, w = np.unique(leaves["w"].to_numpy(dtype=np.int64),
-                         return_inverse=True)
-    w = w.astype(np.int64)
-    n_part = len(wvals)
+    # rows in (d, seq) order, as the forest keeps (e, t) ties in row
+    # order; one packed key, which the collected runs make cheap to sort
     d = leaves["d"].to_numpy(dtype=np.int64)
-    e = leaves["e"].to_numpy(dtype=np.int64)
-    # string w: its leaves' symbols at pos, one $ (= 0) per trajectory;
-    # the W strings are laid end to end, string w from start[w]
-    w_of = np.full(int(d.max()) + 1, -1, dtype=np.int64)
-    w_of[d] = w
-    lens = (np.bincount(w, minlength=n_part)
-            + np.bincount(w_of[w_of >= 0], minlength=n_part))
-    start = np.cumsum(lens) - lens
-    gpos = start[w] + leaves["pos"].to_numpy(dtype=np.int64)
-    text = np.zeros(int(lens.sum()), dtype=np.int64)
+    seq = leaves["seq"].to_numpy(dtype=np.int64)
+    o = np.argsort(d * (int(seq.max()) + 1) + seq, kind="stable")
+    d, seq = d[o], seq[o]
+    col = {c: leaves[c].to_numpy()[o] for c in ("u", "e", "t", "tt", "a")}
+    e = col["e"].astype(np.int64)
+
+    # per trajectory (ids ascending): length, t0, partition, offset
+    n_rec = np.bincount(d)
+    ids = np.flatnonzero(n_rec)
+    lens = n_rec[ids]
+    t0 = np.minimum.reduceat(col["t"], np.cumsum(lens) - lens)
+    wraw = (np.floor(t0 / (partition_days * DAY)).astype(np.int64)
+            if partition_days else np.zeros(len(ids), dtype=np.int64))
+    wvals, wt = np.unique(wraw, return_inverse=True)
+    n_part = len(wvals)
+    order = np.lexsort((ids, t0, wt))
+    step = lens[order] + 1
+    offset = np.cumsum(step) - step
+    off_of = np.zeros(int(ids[-1]) + 1, dtype=np.int64)
+    off_of[ids[order]] = offset
+    gpos = off_of[d] + seq
+    # string w: its leaves' symbols at gpos, one $ (= 0) per trajectory;
+    # it starts at the offset of its first trajectory
+    text = np.zeros(int(step.sum()), dtype=np.int64)
     text[gpos] = e
-    fm = FMIndex(np.split(text, start[1:]), alphabet)
+    starts = offset[np.searchsorted(wt[order], np.arange(1, n_part))]
+    fm = FMIndex(np.split(text, starts), alphabet)
+    w = np.repeat(wt.astype(np.int64), lens)
     forest = TemporalForest(
-        leaves[["e", "t", "d", "tt", "a", "seq"]].assign(
-            isa=fm.isa[gpos], w=w),
+        pd.DataFrame({"e": e, "t": col["t"], "d": d, "tt": col["tt"],
+                      "a": col["a"], "seq": seq, "isa": fm.isa[gpos],
+                      "w": w}, copy=False),  # the forest gathers copies
         backend=backend)
     del fm.isa  # the served index keeps only the search tables + occ
 
-    u_arr = leaves["u"].to_numpy(dtype=np.int64)
-    user_of = np.full(int(d.max()) + 1, -1, dtype=np.int64)
-    user_of[d] = u_arr
+    user_of = np.full(len(off_of), -1, dtype=np.int64)
+    user_of[d] = col["u"]
 
     # ToD store: bucket counts per (e, w) pair with entries, as inclusive
     # prefix sums, rows in (e, w) order; segment e owns rows
     # tod_first[e]:tod_first[e + 1]
     n_buckets = int(np.ceil(DAY / TOD_BUCKET))
-    bucket = ((leaves["t"].to_numpy() % DAY) // TOD_BUCKET).astype(np.int64)
+    bucket = ((col["t"] % DAY) // TOD_BUCKET).astype(np.int64)
     bucket = np.minimum(bucket, n_buckets - 1)
     pair = e * n_part + w
     present = np.bincount(pair, minlength=alphabet * n_part) > 0
@@ -88,7 +100,7 @@ def _assemble(net: RoadNetwork, leaves: pd.DataFrame, *,
     tod_first = np.append(0, np.cumsum(
         present.reshape(alphabet, n_part).sum(axis=1)))
 
-    tmax = float(leaves["t"].max() + leaves["tt"].max())
+    tmax = float(col["t"].max() + col["tt"].max())
     return SNTIndex(net, fm, forest, user_of, tod_hist, tod_first, tmax)
 
 
@@ -100,51 +112,22 @@ def build_index(spark: SparkSession, net: RoadNetwork, traversals: DataFrame,
     ``partition_days=None`` is the paper's FULL (single-partition)
     configuration; ``backend`` selects the temporal tree ("css"/"bt").
     """
-    span = (partition_days * DAY) if partition_days else None
-
-    tl = traversals.groupBy("d", "u").agg(
-        F.min("t").alias("t0"),
-        (F.max("seq") + F.lit(1)).alias("len"),
-    )
-    if span:
-        tl = tl.withColumn("w", F.floor(F.col("t0") / F.lit(span)))
-    else:
-        tl = tl.withColumn("w", F.lit(0).cast("long"))
-
-    off_win = Window.partitionBy("w").orderBy("t0", "d")
-    tl = tl.withColumn(
-        "offset", F.sum(F.col("len") + 1).over(off_win) - (F.col("len") + 1))
-
     seq_win = Window.partitionBy("d").orderBy("seq")
     leaf_df = (traversals
-               .join(tl.select("d", "w", "offset"), "d")
                .withColumn("a", F.sum("tt").over(seq_win))
-               .withColumn("pos", F.col("offset") + F.col("seq"))
                .select(*LEAF_COLUMNS))
-
-    return _assemble(net, leaf_df.toPandas(), backend=backend)
+    return _assemble(net, leaf_df.toPandas(),
+                     partition_days=partition_days, backend=backend)
 
 
 def build_index_local(net: RoadNetwork, traversals: pd.DataFrame, *,
                       partition_days: float | None = None,
                       backend: str = "css") -> SNTIndex:
-    """Pandas twin of :func:`build_index` (same recurrences, no Spark)."""
-    span = (partition_days * DAY) if partition_days else None
-    trav = traversals.copy()
-    tl = (trav.groupby(["d", "u"], as_index=False)
-          .agg(t0=("t", "min"), len_=("seq", "max")))
-    tl["len_"] += 1
-    tl["w"] = (np.floor(tl["t0"] / span).astype(np.int64)
-               if span else np.int64(0))
-    tl = tl.sort_values(["w", "t0", "d"], kind="stable")
-    tl["offset"] = (tl.groupby("w")["len_"].transform(
-        lambda s: (s + 1).cumsum()) - (tl["len_"] + 1))
-
-    trav = trav.merge(tl[["d", "w", "offset"]], on="d")
-    trav = trav.sort_values(["d", "seq"], kind="stable")
-    trav["a"] = trav.groupby("d")["tt"].cumsum()
-    trav["pos"] = trav["offset"] + trav["seq"]
-    return _assemble(net, trav[LEAF_COLUMNS], backend=backend)
+    """Pandas twin of :func:`build_index` (the same running sum, no Spark)."""
+    trav = traversals.sort_values(["d", "seq"], kind="stable")
+    trav = trav.assign(a=trav.groupby("d")["tt"].cumsum())
+    return _assemble(net, trav, partition_days=partition_days,
+                     backend=backend)
 
 
 def build_index_timed(spark: SparkSession, net: RoadNetwork,

@@ -1,9 +1,10 @@
 """DuckDB correctness oracle.
 
 ``assert_equivalent(spark_df, sql, **tables)`` runs ``sql`` in DuckDB
-over ``tables`` and asserts the sorted rows match ``spark_df`` (the
-Spark result). This catches wrong results from a rewritten plan or a
-custom operator — "it ran" is not "it is correct".
+over ``tables``, asserts the sorted rows match ``spark_df`` (the Spark
+result) and returns the collected Spark rows. This catches wrong
+results from a rewritten plan or a custom operator — "it ran" is not
+"it is correct".
 
 ``tables`` may be Spark or pandas DataFrames; Spark inputs are
 collected via ``.toPandas()``. Alias every output column identically
@@ -25,7 +26,9 @@ def _canon(pdf: pd.DataFrame) -> pd.DataFrame:
     return pdf.sort_values(list(pdf.columns)).reset_index(drop=True)
 
 
-def assert_equivalent(spark_df: DataFrame, sql: str, **tables) -> None:
+def assert_equivalent(spark_df: DataFrame, sql: str,
+                      **tables) -> pd.DataFrame:
+    """Assert ``spark_df`` ≡ ``sql`` on DuckDB; return the Spark rows."""
     con = duckdb.connect()
     try:
         for name, t in tables.items():
@@ -41,3 +44,4 @@ def assert_equivalent(spark_df: DataFrame, sql: str, **tables) -> None:
     pd.testing.assert_frame_equal(
         _canon(got), _canon(expected), check_dtype=False
     )
+    return got

@@ -1,6 +1,8 @@
 """Spark index construction vs the pandas twin; temporal partitioning."""
 import numpy as np
 import pytest
+# a local session's DataFrame: pyspark 4 defines toPandas on this class
+from pyspark.sql.classic.dataframe import DataFrame
 
 from repro.core.intervals import fixed, periodic
 from repro.index.build import build_index, build_index_local
@@ -10,10 +12,15 @@ pytestmark = pytest.mark.spark
 
 @pytest.fixture(scope="module")
 def both_indexes(spark, spark_dataset):
+    """``(net, trav, builds)``: ``builds`` holds ``(partition_days,
+    spark_idx, local_idx)`` at FULL and at 90-day partitions (W > 1), and
+    every Spark-vs-pandas check below runs over each."""
     net, trav = spark_dataset
-    spark_idx = build_index(spark, net, trav)
-    local_idx = build_index_local(net, trav.toPandas())
-    return net, trav, spark_idx, local_idx
+    pdf = trav.toPandas()
+    builds = [(days, build_index(spark, net, trav, partition_days=days),
+               build_index_local(net, pdf, partition_days=days))
+              for days in (None, 90)]
+    return net, trav, builds
 
 
 def _sample_paths(idx, n=25, seed=0):
@@ -39,65 +46,86 @@ def _sample_paths(idx, n=25, seed=0):
 
 
 def test_same_partition_count(both_indexes):
-    _, _, si, li = both_indexes
-    assert si.n_partitions == li.n_partitions == 1
+    for days, si, li in both_indexes[2]:
+        assert si.n_partitions == li.n_partitions, days
+        assert (si.n_partitions > 1) == (days is not None), days
 
 
 def test_same_string_sizes(both_indexes):
-    _, _, si, li = both_indexes
-    assert np.array_equal(si.fms[0].span, li.fms[0].span)
+    for days, si, li in both_indexes[2]:
+        assert np.array_equal(si.fms[0].span, li.fms[0].span), days
 
 
 def test_same_path_counts(both_indexes):
-    _, _, si, li = both_indexes
-    for p in _sample_paths(si):
-        assert si.path_count(p) == li.path_count(p)
+    for days, si, li in both_indexes[2]:
+        for p in _sample_paths(si):
+            assert si.path_count(p) == li.path_count(p), (days, p)
 
 
 def test_same_forest_contents(both_indexes):
-    _, _, si, li = both_indexes
-    assert sorted(si.forest.segments) == sorted(li.forest.segments)
-    assert np.array_equal(si.forest.first, li.forest.first)
-    assert np.allclose(si.forest.tt, li.forest.tt)
-    assert np.allclose(si.forest.a, li.forest.a)
-    for e in sorted(si.forest.segments)[:30]:
-        a, b = si.forest.segments[e], li.forest.segments[e]
-        assert np.allclose(a.t, b.t)
-        assert np.array_equal(a.d, b.d)
-        assert np.array_equal(a.seq, b.seq)
-        assert np.array_equal(a.isa, b.isa)
+    for days, si, li in both_indexes[2]:
+        assert sorted(si.forest.segments) == sorted(li.forest.segments)
+        assert np.array_equal(si.forest.first, li.forest.first)
+        assert np.allclose(si.forest.tt, li.forest.tt)
+        assert np.allclose(si.forest.a, li.forest.a)
+        for e in sorted(si.forest.segments)[:30]:
+            a, b = si.forest.segments[e], li.forest.segments[e]
+            assert np.allclose(a.t, b.t)
+            assert np.array_equal(a.d, b.d), (days, e)
+            assert np.array_equal(a.seq, b.seq), (days, e)
+            assert np.array_equal(a.isa, b.isa), (days, e)
+            assert np.array_equal(a.w, b.w), (days, e)
 
 
 def test_same_user_map(both_indexes):
-    _, _, si, li = both_indexes
-    assert np.array_equal(si.user_of, li.user_of)
+    for days, si, li in both_indexes[2]:
+        assert np.array_equal(si.user_of, li.user_of), days
 
 
 def test_same_tod_histograms(both_indexes):
-    _, _, si, li = both_indexes
-    assert np.array_equal(si.tod_first, li.tod_first)
-    assert np.array_equal(si.tod_hist, li.tod_hist)
+    for days, si, li in both_indexes[2]:
+        assert np.array_equal(si.tod_first, li.tod_first), days
+        assert np.array_equal(si.tod_hist, li.tod_hist), days
 
 
 def test_same_query_answers(both_indexes):
-    _, _, si, li = both_indexes
-    for e in sorted(si.forest.segments)[:20]:
-        ivl = periodic(8 * 3600 - 900, 8 * 3600 + 900)
-        # summation order differs (Spark window sum vs pandas cumsum)
-        assert sorted(si.get_travel_times([e], ivl).xs) == \
-            pytest.approx(sorted(li.get_travel_times([e], ivl).xs))
+    ivl = periodic(8 * 3600 - 900, 8 * 3600 + 900)
+    for days, si, li in both_indexes[2]:
+        for e in sorted(si.forest.segments)[:20]:
+            # summation order differs (Spark window sum vs pandas cumsum)
+            assert sorted(si.get_travel_times([e], ivl).xs) == \
+                pytest.approx(sorted(li.get_travel_times([e], ivl).xs))
 
 
 def test_running_aggregate_a(both_indexes):
     """a = cumulative TT within the trajectory (paper sec. 4.1.3)."""
-    _, trav, si, _ = both_indexes
+    _, trav, builds = both_indexes
     pdf = trav.toPandas().sort_values(["d", "seq"])
     one = pdf[pdf["d"] == pdf["d"].iloc[0]]
-    f = si.forest
-    rows = f.first[int(one["d"].iloc[0])] + one["seq"].to_numpy()
-    assert f.tt[rows].tolist() == one["tt"].tolist()
-    assert f.a[rows] == pytest.approx(one["tt"].cumsum().to_numpy())
-    assert f.a[rows[-1]] == pytest.approx(one["tt"].sum())
+    for _, si, _ in builds:
+        f = si.forest
+        rows = f.first[int(one["d"].iloc[0])] + one["seq"].to_numpy()
+        assert f.tt[rows].tolist() == one["tt"].tolist()
+        assert f.a[rows] == pytest.approx(one["tt"].cumsum().to_numpy())
+        assert f.a[rows[-1]] == pytest.approx(one["tt"].sum())
+
+
+def test_dataflow_is_one_window_stage(spark, spark_dataset, monkeypatch):
+    """The build collects one Window over the traversals: partitions and
+    string offsets are the driver's, so the plan has no join and no
+    aggregate."""
+    net, trav = spark_dataset
+    plans, collect = [], DataFrame.toPandas
+
+    def spy(df):
+        plans.append(df._jdf.queryExecution().executedPlan().toString())
+        return collect(df)
+
+    monkeypatch.setattr(DataFrame, "toPandas", spy)
+    build_index(spark, net, trav, partition_days=90)
+    plan, = plans
+    assert plan.count("Window [") == 1, plan
+    assert "Join" not in plan and "Aggregate" not in plan, plan
 
 
 def test_temporal_partitioning_counts_sum(spark, spark_dataset):

@@ -12,16 +12,22 @@ fixed ones; see :mod:`repro.temporal.forest`), which the reference
 reproduces by sorting on the same key; a periodic query with fewer than
 ``beta`` matches returns nothing.  A speed-limit fallback must find no
 reference row.
+
+A smaller Spark leg draws the same kind of queries over the SF 0.01 Spark
+dataset: Spark SQL against DuckDB, and a Spark-built index at 90-day
+partitions against the Spark SQL result.
 """
 import duckdb
 import numpy as np
 import pytest
 
 from repro.core.intervals import DAY, fixed, periodic
-from repro.index.build import build_index_local
-from repro.sparkspq import spq_sql
+from repro.index.build import build_index, build_index_local
+from repro.oracle import assert_equivalent
+from repro.sparkspq import run_spark_spq, spq_sql
 
 N_QUERIES = 300
+N_SPARK_QUERIES = 20  # each Spark SQL query takes about a second
 HOUR = 3600.0
 
 
@@ -86,16 +92,21 @@ def _expected(ref, ivl, beta):
     return x[np.lexsort((t, key))][:beta]
 
 
+def _trips(traversals):
+    """``[(d, u, edges, entry times)]`` per trajectory, and an absent user."""
+    trav = traversals.sort_values(["d", "seq"])
+    trips = [(int(d), int(g["u"].iloc[0]), g["e"].to_numpy(),
+              g["t"].to_numpy()) for d, g in trav.groupby("d")]
+    return trips, int(trav["u"].max()) + 1
+
+
 @pytest.mark.parametrize("partition_days", [None, 30])
 def test_index_matches_duckdb(small_net, small_traversals, con,
                               partition_days):
     idx = build_index_local(small_net, small_traversals,
                             partition_days=partition_days)
     assert idx.n_partitions == (1 if partition_days is None else 32)
-    trav = small_traversals.sort_values(["d", "seq"])
-    trips = [(int(d), int(g["u"].iloc[0]), g["e"].to_numpy(),
-              g["t"].to_numpy()) for d, g in trav.groupby("d")]
-    absent_user = int(trav["u"].max()) + 1
+    trips, absent_user = _trips(small_traversals)
     rng = np.random.default_rng(2019)
     nonempty = 0
     for _ in range(N_QUERIES):
@@ -114,3 +125,32 @@ def test_index_matches_duckdb(small_net, small_traversals, con,
             where
         nonempty += len(want) > 0
     assert nonempty > N_QUERIES // 2
+
+
+@pytest.mark.spark
+def test_spark_sql_matches_duckdb_and_index(spark, spark_dataset):
+    net, trav = spark_dataset
+    pdf = trav.toPandas()
+    idx = build_index(spark, net, trav, partition_days=90)
+    assert idx.n_partitions > 1
+    trips, absent_user = _trips(pdf)
+    rng = np.random.default_rng(2020)
+    nonempty = 0
+    for _ in range(N_SPARK_QUERIES):
+        path, ivl, user, exclude_d, tf, beta = _random_query(
+            rng, trips, net.n_edges, absent_user)
+        where = (path, ivl, user, exclude_d, tf, beta)
+        rows = assert_equivalent(
+            run_spark_spq(spark, trav, path, ivl, user, exclude_d, tf),
+            spq_sql("trav", path, ivl, user, exclude_d, tf), trav=pdf)
+        ref = {c: v.to_numpy() for c, v in rows.items()}
+        got = idx.get_travel_times(path, ivl, user=user, beta=beta,
+                                   exclude_d=exclude_d, timeframe=tf)
+        if got.fallback:
+            assert len(ref["x"]) == 0, where
+            continue
+        want = np.sort(_expected(ref, ivl, beta))
+        assert np.sort(got.xs) == pytest.approx(want, rel=1e-9, abs=1e-6), \
+            where
+        nonempty += len(want) > 0
+    assert nonempty > N_SPARK_QUERIES // 2

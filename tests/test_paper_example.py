@@ -39,6 +39,53 @@ def test_bwt_matches_figure3(paper_index):
     assert "".join(sym[c] for c in bwt) == "EFEE$$$$AAAACBDBB"
 
 
+def _read_string(idx):
+    """The trajectory string, each word read forward from the ISA value of
+    its trajectory's first record (row r starts with the symbol c whose
+    block holds r; the next row is ``occ[r]``), words in ``t0`` order."""
+    fm = idx.fms[0]
+    heads = sorted((float(lv.t[k]), int(d), int(lv.isa[k]))
+                   for lv in idx.forest.segments.values()
+                   for k, d in enumerate(lv.d) if lv.seq[k] == 0)
+    out = ""
+    for _, _, r in heads:
+        while True:
+            c = int(np.searchsorted(fm.B, r, side="right")) - 1
+            out += "$ABCDEF"[c]
+            if c == 0:
+                break
+            r = int(fm.occ[r])
+    return out
+
+
+def test_layout_independent_of_row_order(paper_net, paper_traversals,
+                                         paper_index):
+    """Spark collects rows in no fixed order; the index must not depend on
+    it.  The example has an (e, t) tie (E at t = 12 in tr1 and tr3), so
+    the forest's order of tied leaves is checked too."""
+    from repro.index.build import LEAF_COLUMNS, _assemble, build_index_local
+    rev = paper_traversals.iloc[::-1].reset_index(drop=True)
+    leaves = paper_traversals.sort_values(["d", "seq"])
+    leaves = leaves.assign(a=leaves.groupby("d")["tt"].cumsum())
+    shuffled = leaves[LEAF_COLUMNS].sample(frac=1.0, random_state=5)
+    for idx in (build_index_local(paper_net, rev),
+                _assemble(paper_net, shuffled, partition_days=None,
+                          backend="css")):
+        assert _read_string(idx) == "ABE$ACDE$ABF$ABE$"
+        for name in ("occ", "span", "D", "B"):
+            assert np.array_equal(getattr(idx.fms[0], name),
+                                  getattr(paper_index.fms[0], name)), name
+        assert np.array_equal(idx.user_of, paper_index.user_of)
+        f, g = idx.forest, paper_index.forest
+        for name in ("first", "a", "tt"):
+            assert np.array_equal(getattr(f, name), getattr(g, name)), name
+        assert sorted(f.segments) == sorted(g.segments)
+        for e, lv in f.segments.items():
+            for name in ("t", "isa", "d", "seq", "w", "tod_order"):
+                assert np.array_equal(getattr(lv, name),
+                                      getattr(g.segments[e], name)), (e, name)
+
+
 @pytest.mark.parametrize("path,expected", [
     ([A], (4, 8)),
     ([A, B], (4, 7)),
