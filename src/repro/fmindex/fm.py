@@ -7,7 +7,9 @@ Procedure 2 (``getISARange``) — backward search — in all partitions at
 once, returning each partition's half-open ISA range ``[st, ed)`` of
 suffixes that begin with the query path.  ``ed - st`` is the exact
 number of strict traversals of the path in that partition, which the
-cardinality estimator sums into ``cP``.
+cardinality estimator sums into ``cP``.  ISA values are global: string
+``w``'s sorted suffixes are numbered from ``span[0, w]``, so the W
+ranges are disjoint and ascending, and an ISA value names its string.
 
 The paper stores each BWT in a Huffman-shaped wavelet tree (sdsl-lite)
 to answer ``rank_c(Tbwt, i)`` — the occurrences of ``c`` in
@@ -48,14 +50,12 @@ def symbol_counts(s: np.ndarray, alphabet_size: int) -> np.ndarray:
 class FMIndex:
     """FM-index of W integer trajectory strings (``$`` = 0 terminators).
 
-    The served index keeps only ``B``, ``D``, ``occ``, ``span``,
-    ``start`` and ``n``.  ``span`` is the (2, W) array of each string's
-    global ``[start; end)``, ``start`` repeats the starts in both rows (a
-    same-shape subtraction costs a third of a broadcast one on arrays
-    this small) and ``n`` is the total length.  ``isa`` is left for
-    index construction: at global position ``span[0, w] + i`` it holds
-    the partition-relative ISA value of string ``w``'s position ``i``.
-    The build reads it for every leaf and then deletes it.
+    The served index keeps only ``B``, ``D``, ``occ``, ``span`` and
+    ``n``.  ``span`` is the read-only (2, W) array of each string's
+    global ``[start; end)`` and ``n`` is the total length.  ``isa`` is
+    left for index construction: at global position ``span[0, w] + i``
+    it holds the global ISA value of string ``w``'s suffix ``i``.  The
+    build reads it for every leaf and then deletes it.
     """
 
     def __init__(self, strings: Sequence[np.ndarray], alphabet_size: int):
@@ -63,11 +63,11 @@ class FMIndex:
         lens = np.array([len(s) for s in strings], dtype=np.int64)
         ends = np.cumsum(lens)
         self.span = np.stack([ends - lens, ends])
-        self.start = np.stack([ends - lens, ends - lens])
+        self.span.flags.writeable = False  # isa_ranges([]) returns a view
         isas, bwts, cs = [], [], []
-        for s in strings:
+        for s, off in zip(strings, self.span[0]):
             sa = suffix_array(s)
-            isas.append(inverse_suffix_array(sa))
+            isas.append(inverse_suffix_array(sa) + off)
             bwts.append(s[sa - 1])  # Tbwt[i] = T[SA[i] - 1], wrapping
             cs.append(symbol_counts(s, alphabet_size))
         self.isa = np.concatenate(isas)
@@ -86,11 +86,11 @@ class FMIndex:
         Backward search: start from each string's whole range and fold
         in the path symbols right to left; ``g = occ-block.searchsorted(g)
         + D[c]`` moves all W ranges at once.  O(|P| log n) independent
-        of |T|.  An empty path gives ``(0, n_w)``; a single symbol
-        absent from string ``w`` gives ``(C_w[c], C_w[c])``; a longer
-        path with no match gives ``(0, 0)``.  A path with a symbol
-        outside the edge ids ``1..|Σ|-1`` (``$``, negative or unknown
-        ids) matches nothing.
+        of |T|.  Row ``w`` is ``span[0, w] + (k, k + hits)``, ``k`` the
+        number of string ``w``'s suffixes below the path, for every path,
+        the empty one (``span[:, w]``) and unmatched ones included.  A
+        symbol outside the edge ids ``1..|Σ|-1`` (``$``, negative or
+        unknown ids) gives all-zero rows.
         """
         p = list(path)
         B, D, occ = self.B, self.D, self.occ
@@ -99,14 +99,10 @@ class FMIndex:
         g = self.span
         for c in reversed(p):
             g = occ[B[c]:B[c + 1]].searchsorted(g) + D[c]
-        r = g - self.start
-        if len(p) > 1:
-            r *= r[0] < r[1]
-        return r.T
+        return g.T
 
     def memory_report(self) -> dict[str, int]:
         """Bytes per Fig.-10 component: the counts ``D`` and ``B`` and
         the string bounds (C), and the rank structure ``occ`` (WT)."""
-        return {"C": int(self.D.nbytes + self.B.nbytes + self.span.nbytes
-                         + self.start.nbytes),
+        return {"C": int(self.D.nbytes + self.B.nbytes + self.span.nbytes),
                 "WT": int(self.occ.nbytes)}

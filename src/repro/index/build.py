@@ -16,9 +16,9 @@ Trajectories are laid out in ``(w, t0, d)`` order, each followed by one
 ``$`` terminator, so the W partition strings lie end to end and record
 ``seq`` of trajectory ``d`` sits at ``offset[d] + seq``, with
 ``offset`` the exclusive running sum of ``len + 1``.  One FM-index is
-built over the W strings, each leaf's ISA value is read back by
-position, and the forest, the U map and the ToD histogram store are
-constructed.
+built over the W strings, each leaf's global ISA value (which names its
+partition) is read back by position, and the forest, the U map and the
+ToD histogram store are constructed.
 """
 from __future__ import annotations
 
@@ -73,11 +73,10 @@ def _assemble(net: RoadNetwork, leaves: pd.DataFrame, *,
     text[gpos] = e
     starts = offset[np.searchsorted(wt[order], np.arange(1, n_part))]
     fm = FMIndex(np.split(text, starts), alphabet)
-    w = np.repeat(wt.astype(np.int64), lens)
     forest = TemporalForest(
         pd.DataFrame({"e": e, "t": col["t"], "d": d, "tt": col["tt"],
-                      "a": col["a"], "seq": seq, "isa": fm.isa[gpos],
-                      "w": w}, copy=False),  # the forest gathers copies
+                      "a": col["a"], "seq": seq, "isa": fm.isa[gpos]},
+                     copy=False),  # the forest gathers copies
         backend=backend)
     del fm.isa  # the served index keeps only the search tables + occ
 
@@ -87,6 +86,7 @@ def _assemble(net: RoadNetwork, leaves: pd.DataFrame, *,
     # ToD store: bucket counts per (e, w) pair with entries, as inclusive
     # prefix sums, rows in (e, w) order; segment e owns rows
     # tod_first[e]:tod_first[e + 1]
+    w = np.repeat(wt.astype(np.int64), lens)
     n_buckets = int(np.ceil(DAY / TOD_BUCKET))
     bucket = ((col["t"] % DAY) // TOD_BUCKET).astype(np.int64)
     bucket = np.minimum(bucket, n_buckets - 1)

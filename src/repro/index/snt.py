@@ -1,12 +1,12 @@
 """The adapted SNT-index serving structure (paper sec. 4).
 
 Holds one FM-index over the trajectory strings of all ``W`` temporal
-partitions; one shared temporal forest whose leaves carry the partition
-id; the associative container ``U`` (trajectory -> user); and the
-time-of-day histogram store used by the cardinality estimator.
+partitions; one shared temporal forest whose leaves' global ISA values
+name their partition; the associative container ``U`` (trajectory ->
+user); and the time-of-day histogram store used by the estimator.
 
 :meth:`SNTIndex.get_travel_times` is Procedure 5: spatial filtering via
-per-partition ISA ranges, ``buildMap`` on the first segment,
+the path's per-partition ISA ranges, ``buildMap`` on the first segment,
 cardinality check for periodic intervals, ``probeMap`` on the last
 segment, and the speed-limit ``estimateTT`` fallback for single
 segments with no data.
@@ -68,7 +68,7 @@ class SNTIndex:
 
     # -- spatial component ------------------------------------------------
     def isa_ranges(self, path) -> np.ndarray:
-        """(W, 2) array of per-partition ISA ranges [st, ed) for ``path``."""
+        """(W, 2) array of per-partition global ISA ranges [st, ed)."""
         return self.fms[0].isa_ranges(path)
 
     def path_count(self, path, ranges: np.ndarray | None = None) -> int:

@@ -42,8 +42,8 @@ def get_spark(app: str):
     ``PYSPARK_SUBMIT_ARGS`` when it starts the gateway, so they are set
     here, before ``getOrCreate``.  ``SPARK_MASTER`` (default
     ``local[*]``) and ``SPARK_DRIVER_MEM`` override them.  The session
-    configs (shuffle partitions from ``SPARK_SHUFFLE_PARTITIONS``, Arrow)
-    are honoured after launch.
+    configs (shuffle partitions from ``SPARK_SHUFFLE_PARTITIONS``, Arrow,
+    no ``[Stage …]`` progress bars in job logs) are honoured after launch.
     """
     os.environ.setdefault("SPARK_DRIVER_MEM", _driver_mem())
     os.environ.setdefault(
@@ -60,5 +60,6 @@ def get_spark(app: str):
         .config("spark.sql.shuffle.partitions",
                 os.environ.get("SPARK_SHUFFLE_PARTITIONS", "64"))
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
+        .config("spark.ui.showConsoleProgress", "false")
         .getOrCreate()
     )

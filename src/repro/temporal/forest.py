@@ -1,12 +1,13 @@
 """Temporal forest: per-segment leaves + Procedures 3 and 4.
 
 For every network segment ``e`` the forest holds leaf records sorted by
-entry timestamp ``t``: ``t -> (isa, d, seq, w)``, with ``seq`` the
-record's position in trajectory ``d`` and ``w`` the temporal-partition
-id (sec. 4.1.3, 4.3.2, Fig. 4).  The paper's extended leaf also holds
-``TT`` and the running TT sum ``a`` through this segment; here both are
-stored once, in trajectory order (``TemporalForest.a``/``.tt``), with
-trajectory ``d``'s record ``seq`` at row ``first[d] + seq``.
+entry timestamp ``t``: ``t -> (isa, d, row)`` (sec. 4.1.3, Fig. 4).
+The paper's extended leaf also holds ``TT`` and the running TT sum ``a``
+through this segment; here both are stored once, in trajectory order
+(``TemporalForest.a``/``.tt``), at ``row``, the count of records of
+trajectories before ``d`` plus the record's ``seq``.  ``isa`` is global,
+so it also names the temporal partition that the paper's leaf stores
+(sec. 4.3.2).
 
 Periodic predicates repeat daily, so each segment also keeps a
 time-of-day sort order and a tree over it: a periodic window is one or
@@ -16,14 +17,14 @@ order (ties by ``t``), so ``beta`` keeps the earliest by time of day,
 not by date.
 
 ``buildMap`` (Procedure 3) scans the first segment's leaves in that
-order, filters by per-partition ISA range, time and user predicates,
+order, filters by the path's ISA ranges, time and user predicates,
 stops after ``beta`` matches and returns their rows.  Given a sigma
 widening ladder (nested periodic windows with one centre), one scan of
 the widest window holds the matches of every rung: a rung's matches are
 the scan's matches whose time of day lies in the rung's own
 ``tod_ranges()``, in the rung's own scan order.  A match's ISA lies
 in the path's range, so its trajectory traverses the whole path from
-``seq``, and ``probeMap`` (Procedure 4) is the gather
+``row``, and ``probeMap`` (Procedure 4) is the gather
 ``a[row + |P| - 1] - (a[row] - TT[row])``.
 """
 from __future__ import annotations
@@ -47,8 +48,7 @@ class SegmentLeaves:
     t: np.ndarray
     isa: np.ndarray
     d: np.ndarray
-    seq: np.ndarray
-    w: np.ndarray
+    row: np.ndarray
     backend: str = "css"
     tod_order: np.ndarray = field(init=False)
 
@@ -76,7 +76,7 @@ class SegmentLeaves:
     def nbytes(self) -> tuple[int, int]:
         """(leaf array bytes, tree/auxiliary bytes) for the memory report."""
         leaf = sum(int(arr.nbytes) for arr in
-                   (self.t, self.isa, self.d, self.seq, self.w))
+                   (self.t, self.isa, self.d, self.row))
         aux = (self.tod_order.nbytes +
                self.t_tree.nbytes() + self.tod_tree.nbytes())
         if isinstance(self.tod_tree, CSSTree):
@@ -90,14 +90,13 @@ class TemporalForest:
 
     def __init__(self, leaf_table, backend: str = "css"):
         """``leaf_table``: pandas DataFrame with columns
-        ``e, t, isa, d, tt, a, seq, w`` (any row order, ``seq`` dense)."""
+        ``e, t, isa, d, tt, a, seq`` (any row order, ``seq`` dense)."""
         self.backend = backend
         self.segments: dict[int, SegmentLeaves] = {}
-        #: ``a`` and ``TT`` of every record in (d, seq) order; trajectory
-        #: d's records are rows ``first[d]:first[d + 1]``
+        #: ``a`` and ``TT`` of every record in (d, seq) order; a leaf's
+        #: ``row`` indexes both
         self.a = np.empty(0)
         self.tt = np.empty(0)
-        self.first = np.empty(0, dtype=np.int64)
         if len(leaf_table) == 0:
             return
         # rows in (e, t) order, ties in input order: a stable sort by t,
@@ -107,10 +106,10 @@ class TemporalForest:
         o = o[np.argsort(e_in[o], kind="stable")]
         e_arr = e_in[o]
         cols = {c: leaf_table[c].to_numpy()[o]
-                for c in ("t", "isa", "d", "tt", "a", "seq", "w")}
+                for c in ("t", "isa", "d", "tt", "a", "seq")}
         d = cols["d"].astype(np.int64)
-        self.first = np.concatenate(([0], np.cumsum(np.bincount(d))))
-        row = self.first[d] + cols["seq"]
+        first = np.concatenate(([0], np.cumsum(np.bincount(d))))
+        row = first[d] + cols["seq"]
         self.a = np.empty(len(row))
         self.a[row] = cols["a"]
         self.tt = np.empty(len(row))
@@ -124,8 +123,7 @@ class TemporalForest:
                 t=cols["t"][sl].astype(np.float64),
                 isa=cols["isa"][sl].astype(np.int64),
                 d=cols["d"][sl].astype(np.int64),
-                seq=cols["seq"][sl].astype(np.int64),
-                w=cols["w"][sl].astype(np.int64),
+                row=row[sl].astype(np.int64),
                 backend=backend,
             )
 
@@ -140,14 +138,14 @@ class TemporalForest:
                   timeframe: tuple[float, float] | None = None,
                   rungs: list[Interval] | None = None,
                   answered: list[int] | None = None) -> np.ndarray:
-        """Procedure 3: rows ``first[d] + seq`` of the first matches.
+        """Procedure 3: the leaf ``row`` of each of the first matches.
 
-        ``ranges_by_w`` is a ``(W, 2)`` array of per-partition ISA ranges
-        ``[st, ed)``; a leaf matches the spatial predicate iff its own
-        partition's range contains its ``isa``.  ``timeframe`` is the
-        optional absolute-time bound a user may add on top of a periodic
-        predicate (paper sec. 4.4, "only trajectories within the past
-        year").  Scan stops after ``beta`` matches (paper line 6);
+        ``ranges_by_w`` holds the W disjoint, ascending ISA ranges of
+        :meth:`FMIndex.isa_ranges`; a leaf matches the spatial predicate
+        iff an odd number of their bounds are ``<= isa``.  ``timeframe``
+        is the optional absolute-time bound a user may add on top of a
+        periodic predicate (paper sec. 4.4, "only trajectories within the
+        past year").  Scan stops after ``beta`` matches (paper line 6);
         ``beta=None`` retrieves all.  The rows come in scan order.
 
         ``rungs`` (with ``beta``) is a widening ladder whose widest rung
@@ -163,11 +161,8 @@ class TemporalForest:
         idx = _NO_ROWS if leaves is None else leaves.candidates(interval)
         if len(idx) == 0:
             return _NO_ROWS
-        w = leaves.w[idx]
-        isa = leaves.isa[idx]
-        st = ranges_by_w[w, 0]
-        ed = ranges_by_w[w, 1]
-        mask = (isa >= st) & (isa < ed)
+        mask = (np.searchsorted(ranges_by_w.ravel(), leaves.isa[idx],
+                                side="right") & 1).astype(bool)
         if timeframe is not None:
             t = leaves.t[idx]
             mask &= (t >= timeframe[0]) & (t < timeframe[1])
@@ -194,7 +189,7 @@ class TemporalForest:
             answered[0] = k
         if beta is not None:
             sel = sel[:beta]
-        return self.first[leaves.d[sel]] + leaves.seq[sel]
+        return leaves.row[sel]
 
     def probe_map(self, e_last: int, path_len: int,
                   m: np.ndarray) -> list[float]:
@@ -208,8 +203,8 @@ class TemporalForest:
 
     def memory_report(self) -> dict[str, int]:
         """Bytes of the forest for Fig. 10a: the leaf arrays with the
-        trajectory-ordered ``a``, ``TT`` and row offsets, and the trees."""
-        leaf = self.a.nbytes + self.tt.nbytes + self.first.nbytes
+        trajectory-ordered ``a`` and ``TT``, and the trees."""
+        leaf = self.a.nbytes + self.tt.nbytes
         aux = 0
         for seg in self.segments.values():
             lb, ab = seg.nbytes()

@@ -178,7 +178,7 @@ def baseline_segment_means(index: SNTIndex,
     strongest non-selective per-segment method the paper compares to.
     """
     f = index.forest
-    mean_tt = {e: float(f.tt[f.first[seg.d] + seg.seq].mean())
+    mean_tt = {e: float(f.tt[seg.row].mean())
                for e, seg in f.segments.items()}
     sm, we = [], []
     for qt in queries:

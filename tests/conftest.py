@@ -37,6 +37,12 @@ PAPER_TRAJECTORIES = {
 }
 
 
+def leaf_partition(index, isa):
+    """The temporal partition of leaves with global ISA values ``isa``:
+    partition w's suffixes are numbered ``span[0, w]..span[1, w] - 1``."""
+    return np.searchsorted(index.fms[0].span[1], isa, side="right")
+
+
 @pytest.fixture(scope="session")
 def paper_net():
     return make_network(PAPER_SPECS)

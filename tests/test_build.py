@@ -4,8 +4,9 @@ import pytest
 # a local session's DataFrame: pyspark 4 defines toPandas on this class
 from pyspark.sql.classic.dataframe import DataFrame
 
-from repro.core.intervals import fixed, periodic
+from repro.core.intervals import DAY, fixed, periodic
 from repro.index.build import build_index, build_index_local
+from tests.conftest import leaf_partition
 
 pytestmark = pytest.mark.spark
 
@@ -23,6 +24,17 @@ def both_indexes(spark, spark_dataset):
     return net, trav, builds
 
 
+def _records(forest):
+    """``(edge, traj)``: segment and trajectory of every record, indexed by
+    the leaves' ``row`` (records in (d, seq) order)."""
+    edge = np.empty(len(forest.a), dtype=np.int64)
+    traj = np.empty(len(forest.a), dtype=np.int64)
+    for e, lv in forest.segments.items():
+        edge[lv.row] = e
+        traj[lv.row] = lv.d
+    return edge, traj
+
+
 def _sample_paths(idx, n=25, seed=0):
     """Five random single segments, then up to ``n`` real 2-6-segment
     sub-paths of random trajectories."""
@@ -30,13 +42,10 @@ def _sample_paths(idx, n=25, seed=0):
     f = idx.forest
     segs = sorted(f.segments)
     out = [[int(rng.choice(segs))] for _ in range(5)]
-    # record seq of trajectory d is row first[d] + seq in trajectory order
-    edge = np.empty(int(f.first[-1]), dtype=np.int64)
-    for e, lv in f.segments.items():
-        edge[f.first[lv.d] + lv.seq] = e
-    n_trips = len(f.first) - 1
-    for d in rng.choice(n_trips, size=min(n, n_trips), replace=False):
-        trip = edge[f.first[d]:f.first[d + 1]]
+    edge, traj = _records(f)
+    ids = np.unique(traj)
+    for d in rng.choice(ids, size=min(n, len(ids)), replace=False):
+        trip = edge[traj == d]
         k = int(rng.integers(2, 7))
         if len(trip) >= k:
             s = int(rng.integers(len(trip) - k + 1))
@@ -65,16 +74,31 @@ def test_same_path_counts(both_indexes):
 def test_same_forest_contents(both_indexes):
     for days, si, li in both_indexes[2]:
         assert sorted(si.forest.segments) == sorted(li.forest.segments)
-        assert np.array_equal(si.forest.first, li.forest.first)
         assert np.allclose(si.forest.tt, li.forest.tt)
         assert np.allclose(si.forest.a, li.forest.a)
         for e in sorted(si.forest.segments)[:30]:
             a, b = si.forest.segments[e], li.forest.segments[e]
             assert np.allclose(a.t, b.t)
             assert np.array_equal(a.d, b.d), (days, e)
-            assert np.array_equal(a.seq, b.seq), (days, e)
+            assert np.array_equal(a.row, b.row), (days, e)
             assert np.array_equal(a.isa, b.isa), (days, e)
-            assert np.array_equal(a.w, b.w), (days, e)
+
+
+def test_leaf_isa_names_time_partition(both_indexes):
+    """At FULL and at 90 d, the partition a leaf's global ISA lies in is
+    the build's time-based one: ``floor(t0 / 90 d)`` of its trajectory's
+    start ``t0``, densified in time order."""
+    _, trav, builds = both_indexes
+    t0 = trav.toPandas().groupby("d")["t"].min()
+    for days, si, li in builds:
+        raw = np.zeros(len(t0), dtype=np.int64) if days is None else \
+            np.floor(t0.to_numpy() / (days * DAY)).astype(np.int64)
+        part = dict(zip(t0.index, np.unique(raw, return_inverse=True)[1]))
+        assert len(set(part.values())) == si.n_partitions
+        for idx in (si, li):
+            for e, lv in idx.forest.segments.items():
+                want = [part[d] for d in lv.d]
+                assert leaf_partition(idx, lv.isa).tolist() == want, (days, e)
 
 
 def test_same_user_map(both_indexes):
@@ -104,7 +128,9 @@ def test_running_aggregate_a(both_indexes):
     one = pdf[pdf["d"] == pdf["d"].iloc[0]]
     for _, si, _ in builds:
         f = si.forest
-        rows = f.first[int(one["d"].iloc[0])] + one["seq"].to_numpy()
+        # a trajectory's records hold consecutive rows, in seq order
+        rows = np.flatnonzero(_records(f)[1] == one["d"].iloc[0])
+        assert rows.tolist() == list(range(rows[0], rows[0] + len(one)))
         assert f.tt[rows].tolist() == one["tt"].tolist()
         assert f.a[rows] == pytest.approx(one["tt"].cumsum().to_numpy())
         assert f.a[rows[-1]] == pytest.approx(one["tt"].sum())
@@ -150,13 +176,12 @@ def test_temporal_partitioning_same_answers(spark, spark_dataset):
 def test_partition_ids_follow_time(spark, spark_dataset):
     net, trav = spark_dataset
     part = build_index(spark, net, trav, partition_days=180)
-    from repro.core.intervals import DAY
     span = 180 * DAY
     for e in sorted(part.forest.segments)[:10]:
         lv = part.forest.segments[e]
         # a leaf's partition is determined by its *trajectory's* start
         # time, which is never after the leaf's own entry time
-        assert np.all(lv.w * span <= lv.t + 1e-6)
+        assert np.all(leaf_partition(part, lv.isa) * span <= lv.t + 1e-6)
 
 
 def test_bt_backend_equivalent_answers(spark, spark_dataset):
@@ -181,6 +206,7 @@ def test_isa_suffix_property(spark, small_net, small_traversals):
     sub = small_traversals[small_traversals["d"] < 30]
     idx = build_index_local(small_net, sub)
     pdf = sub.sort_values(["d", "seq"])
+    traj = _records(idx.forest)[1]
     rng = np.random.default_rng(4)
     for d in rng.choice(pdf["d"].unique(), 8, replace=False):
         path = [int(e) for e in pdf[pdf["d"] == d]["e"]]
@@ -189,5 +215,7 @@ def test_isa_suffix_property(spark, small_net, small_traversals):
             st, ed = idx.isa_ranges(tail)[0]
             e0 = tail[0]
             lv = idx.forest.segments[e0]
-            j, = np.flatnonzero((lv.d == d) & (lv.seq == start))
+            row = np.flatnonzero(traj == d)[0] + start
+            j, = np.flatnonzero(lv.row == row)
+            assert lv.d[j] == d
             assert st <= lv.isa[j] < ed

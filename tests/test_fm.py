@@ -14,13 +14,14 @@ def brute_count(s, p):
     return sum(1 for i in range(len(s) - len(p) + 1) if s[i:i + len(p)] == p)
 
 
-def brute_range(s, sa, p):
-    """ISA range via the sorted-suffix definition."""
-    hits = [j for j in range(len(sa))
-            if list(s[sa[j]:sa[j] + len(p)]) == list(p)]
-    if not hits:
-        return (0, 0)
-    return (min(hits), max(hits) + 1)
+def brute_range(s, sa, p, off=0):
+    """ISA range via the sorted-suffix definition: ``off`` plus the
+    suffixes smaller than ``p`` that do not start with it, then its hits;
+    the suffixes that start with ``p`` are consecutive."""
+    p = list(p)
+    below = sum(1 for j in sa if list(s[j:j + len(p)]) < p)
+    hits = sum(1 for j in sa if list(s[j:j + len(p)]) == p)
+    return (off + below, off + below + hits)
 
 
 @pytest.fixture(scope="module")
@@ -66,8 +67,12 @@ def test_absent_symbol_gives_empty(random_fm):
     # symbol 6 is in the alphabet but not in s: C[6] == C[7] == len(s)
     fm = FMIndex([s], alphabet_size=7)
     assert tuple(fm.isa_ranges([6])[0]) == (len(s), len(s))
-    assert tuple(fm.isa_ranges([6, 1])[0]) == (0, 0)
-    assert tuple(fm.isa_ranges([1, 6])[0]) == (0, 0)
+    # every suffix is smaller than a path starting with 6
+    assert tuple(fm.isa_ranges([6, 1])[0]) == (len(s), len(s))
+    # a 1 is never followed by 6: the empty range sits after the
+    # suffixes "1 c ..." with c <= 5, i.e. at the end of symbol 1's block
+    c = symbol_counts(s, 7)
+    assert tuple(fm.isa_ranges([1, 6])[0]) == (c[2], c[2])
 
 
 @settings(max_examples=30, deadline=None)
@@ -86,8 +91,7 @@ def test_memory_report_keys(random_fm):
     s, fm = random_fm
     rep = fm.memory_report()
     assert set(rep) == {"C", "WT"} and rep["WT"] == 8 * len(s)
-    assert rep["C"] == (fm.D.nbytes + fm.B.nbytes + fm.span.nbytes
-                        + fm.start.nbytes)
+    assert rep["C"] == fm.D.nbytes + fm.B.nbytes + fm.span.nbytes
 
 
 def test_symbol_counts_paper_string():
@@ -126,16 +130,12 @@ def test_occ_blocks_are_ascending_permutation(strings):
         assert (bwt[blk] == c).all()  # block c: every BWT position of c
 
 
-def _expected_range(s, p, alphabet_size):
-    """Procedure 2's answer in one string, from the sorted suffixes."""
-    if not p:
-        return (0, len(s))
-    if min(p) < 1 or max(p) >= alphabet_size:
+def _expected_range(s, p, alphabet_size, off):
+    """Procedure 2's answer in a string whose sorted suffixes are numbered
+    from ``off``, from the sorted suffixes."""
+    if p and (min(p) < 1 or max(p) >= alphabet_size):
         return (0, 0)
-    if len(p) == 1 and brute_count(s, p) == 0:
-        c = symbol_counts(s, alphabet_size)[p[0]]
-        return (int(c), int(c))  # initial C-range of an absent symbol
-    return brute_range(s, suffix_array(s), p)
+    return brute_range(s, suffix_array(s), p, off)
 
 
 @settings(max_examples=60, deadline=None)
@@ -143,15 +143,18 @@ def _expected_range(s, p, alphabet_size):
        st.lists(st.lists(st.integers(min_value=-1, max_value=8), max_size=4),
                 min_size=1, max_size=8))
 def test_partitioned_ranges_match_bruteforce(strings, paths):
-    """Each row of isa_ranges is that string's own suffix-array range:
-    absent symbols (6, 7), single symbols, the empty path and ids
-    outside the alphabet (-1, 0, 8) included."""
+    """Each row of isa_ranges is that string's own suffix-array range,
+    shifted to the string's global start: absent symbols (6, 7), single
+    symbols, the empty path and ids outside the alphabet (-1, 0, 8)
+    included."""
     fm = FMIndex(strings, alphabet_size=8)
+    offs = np.cumsum([0] + [len(s) for s in strings])
+    assert fm.span.tolist() == [offs[:-1].tolist(), offs[1:].tolist()]
     for p in paths:
         got = fm.isa_ranges(p)
         assert got.shape == (len(strings), 2) and got.dtype == np.int64
-        for s, row in zip(strings, got):
-            assert tuple(row) == _expected_range(s, p, 8)
+        for s, off, row in zip(strings, offs, got):
+            assert tuple(row) == _expected_range(s, p, 8, off)
 
 
 def test_offset_table_single_string_is_c(random_fm):

@@ -2,8 +2,11 @@
 import numpy as np
 import pandas as pd
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.intervals import DAY, fixed, periodic
+from repro.fmindex.fm import FMIndex
 from repro.temporal.forest import SegmentLeaves, TemporalForest
 
 
@@ -13,8 +16,7 @@ def make_leaves(ts, backend="css", **over):
         t=np.asarray(ts, dtype=float),
         isa=np.arange(n, dtype=np.int64),
         d=np.arange(n, dtype=np.int64),
-        seq=np.zeros(n, dtype=np.int64),
-        w=np.zeros(n, dtype=np.int64),
+        row=np.arange(n, dtype=np.int64),
     )
     kw.update({k: np.asarray(v) for k, v in over.items()})
     return SegmentLeaves(backend=backend, **kw)
@@ -46,22 +48,23 @@ def test_periodic_midnight_wrap():
 def make_forest(backend="css"):
     # two trajectories traversing segments 1 -> 2; one lone traversal of 2
     rows = [
-        # e, t, isa, d, tt, a, seq, w
-        (1, 100.0, 4, 0, 10.0, 10.0, 0, 0),
-        (1, 200.0, 5, 1, 12.0, 12.0, 0, 0),
-        (2, 110.0, 9, 0, 20.0, 30.0, 1, 0),
-        (2, 212.0, 8, 1, 25.0, 37.0, 1, 0),
-        (2, 500.0, 7, 2, 9.0, 9.0, 0, 0),
+        # e, t, isa, d, tt, a, seq
+        (1, 100.0, 4, 0, 10.0, 10.0, 0),
+        (1, 200.0, 5, 1, 12.0, 12.0, 0),
+        (2, 110.0, 9, 0, 20.0, 30.0, 1),
+        (2, 212.0, 8, 1, 25.0, 37.0, 1),
+        (2, 500.0, 7, 2, 9.0, 9.0, 0),
     ]
     pdf = pd.DataFrame(rows, columns=["e", "t", "isa", "d", "tt", "a",
-                                      "seq", "w"])
+                                      "seq"])
     return TemporalForest(pdf, backend=backend)
 
 
 def test_trajectory_ordered_aggregates():
     f = make_forest()
     # rows in (d, seq) order: (0,0) (0,1) (1,0) (1,1) (2,0)
-    assert f.first.tolist() == [0, 2, 4, 5]
+    assert f.get(1).row.tolist() == [0, 2]
+    assert f.get(2).row.tolist() == [1, 3, 4]
     assert f.a.tolist() == [10.0, 30.0, 12.0, 37.0, 9.0]
     assert f.tt.tolist() == [10.0, 20.0, 12.0, 25.0, 9.0]
     assert not hasattr(f.get(1), "a") and not hasattr(f.get(1), "tt")
@@ -125,30 +128,88 @@ def test_periodic_beta_truncation_takes_time_of_day_order():
     08:00-08:30 window and beta = 1 the scan returns d = 1, where a
     chronological scan of one repetition after another would return d = 0.
     """
-    rows = [(1, 8 * 3600 + 1200.0, 0, 0, 5.0, 5.0, 0, 0),
-            (1, DAY + 8 * 3600 + 300.0, 1, 1, 7.0, 7.0, 0, 0)]
+    rows = [(1, 8 * 3600 + 1200.0, 0, 0, 5.0, 5.0, 0),
+            (1, DAY + 8 * 3600 + 300.0, 1, 1, 7.0, 7.0, 0)]
     f = TemporalForest(pd.DataFrame(rows, columns=["e", "t", "isa", "d",
-                                                   "tt", "a", "seq", "w"]))
+                                                   "tt", "a", "seq"]))
     ranges = np.array([[0, 2]])
     window = periodic(8 * 3600, 8.5 * 3600)
     assert f.build_map(1, ranges, window, None, None, None).tolist() == [1, 0]
     m = f.build_map(1, ranges, window, None, 1, None)
-    assert f.first[1] == 1 and m.tolist() == [1]
+    assert f.get(1).row.tolist() == [0, 1] and m.tolist() == [1]
     assert f.probe_map(1, 1, m) == [7.0]
 
 
 def test_partition_aware_isa_ranges():
+    """Partition 0's suffixes are numbered 0..9 and partition 1's 10..19:
+    each leaf's global ISA is tested against its own partition's range."""
     rows = [
-        (1, 10.0, 4, 0, 1.0, 1.0, 0, 0),   # partition 0, isa 4
-        (1, 20.0, 4, 1, 1.0, 1.0, 0, 1),   # partition 1, isa 4 (different FM)
+        (1, 10.0, 4, 0, 1.0, 1.0, 0),    # partition 0, local isa 4
+        (1, 20.0, 14, 1, 1.0, 1.0, 0),   # partition 1, local isa 4
+        (1, 30.0, 10, 2, 1.0, 1.0, 0),   # partition 1, at its span start
+        (1, 40.0, 5, 3, 1.0, 1.0, 0),    # partition 0, at range 0's end
     ]
     pdf = pd.DataFrame(rows, columns=["e", "t", "isa", "d", "tt", "a",
-                                      "seq", "w"])
+                                      "seq"])
     f = TemporalForest(pdf)
-    # partition 0 matches isa 4, partition 1 does not
-    ranges = np.array([[4, 5], [0, 0]])
-    m = f.build_map(1, ranges, fixed(0, 100), None, None, None)
-    assert m.tolist() == [0]
+    # partition 0 matches local isa 4, partition 1 nothing: its empty
+    # range sits at local 4 too
+    ranges = np.array([[4, 5], [14, 14]])
+    assert f.build_map(1, ranges, fixed(0, 100), None, None, None
+                       ).tolist() == [0]
+    # ranges that touch: [5, 10) and [10, 15)
+    ranges = np.array([[5, 10], [10, 15]])
+    assert f.build_map(1, ranges, fixed(0, 100), None, None, None
+                       ).tolist() == [1, 2, 3]
+
+
+#: W trajectory strings, each a list of words over 1..4; word k becomes
+#: trajectory k, a $ (0) ends every word
+words_st = st.lists(
+    st.lists(st.lists(st.integers(min_value=1, max_value=4), min_size=1,
+                      max_size=6), min_size=1, max_size=5),
+    min_size=1, max_size=4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(words_st,
+       st.lists(st.lists(st.integers(min_value=1, max_value=4), min_size=1,
+                         max_size=4), min_size=1, max_size=6))
+def test_global_isa_mask_equals_per_partition_rule(strings, paths):
+    """``build_map``'s one ``searchsorted`` over the W global ranges
+    keeps exactly the leaves of the per-partition rule ``st[w] <= isa -
+    span[0, w] < ed[w]`` on partition-relative ranges, and those are the
+    positions where the path starts."""
+    # one leaf per symbol, in position order: global position, partition,
+    # trajectory (one per word), seq
+    text, pos, part, d, seq = [], [], [], [], []
+    g = traj = 0
+    for w, words in enumerate(strings):
+        text.append(np.array([e for word in words for e in word + [0]]))
+        for word in words:
+            pos += range(g, g + len(word))
+            part += [w] * len(word)
+            d += [traj] * len(word)
+            seq += range(len(word))
+            g += len(word) + 1
+            traj += 1
+    fm = FMIndex(text, alphabet_size=5)
+    flat = np.concatenate(text)
+    pos, w = np.array(pos), np.array(part)
+    table = pd.DataFrame({"e": flat[pos], "t": np.arange(len(pos)) * 1.0,
+                          "isa": fm.isa[pos], "d": d, "tt": 1.0, "a": 1.0,
+                          "seq": seq})
+    f = TemporalForest(table)
+    local = fm.isa[pos] - fm.span[0, w]
+    for p in paths:
+        ranges = fm.isa_ranges(p)
+        rel = ranges - fm.span[0][:, None]
+        old = (flat[pos] == p[0]) & (rel[w, 0] <= local) & (local < rel[w, 1])
+        starts = np.array([list(flat[i:i + len(p)]) == p for i in pos])
+        assert np.array_equal(old, starts)
+        got = f.build_map(p[0], ranges, fixed(0, len(pos)), None, None, None)
+        # row = first[d] + seq is the leaf's index in position order
+        assert got.tolist() == np.flatnonzero(old).tolist()
 
 
 def test_memory_report():
@@ -156,12 +217,13 @@ def test_memory_report():
     rep = f.memory_report()
     assert rep["Forest"] == rep["leaves"] + rep["trees"] > 0
     per_seg = sum(seg.nbytes()[0] for seg in f.segments.values())
-    assert rep["leaves"] == per_seg + (5 + 5 + 4) * 8  # a, tt, first
+    assert rep["leaves"] == per_seg + (5 + 5) * 8  # a, tt
+    assert per_seg == 5 * 4 * 8  # t, isa, d, row
 
 
 def test_empty_forest():
     f = TemporalForest(pd.DataFrame(columns=["e", "t", "isa", "d", "tt",
-                                             "a", "seq", "w"]))
+                                             "a", "seq"]))
     assert f.get(1) is None
     assert f.memory_report()["Forest"] == 0
     m = f.build_map(1, np.array([[0, 10]]), fixed(0, 1e9), None, None, None)
@@ -171,16 +233,18 @@ def test_empty_forest():
 def _bound_forest(ladders, backend):
     """Segment 1's leaves on every rung bound of ``ladders`` (day 0, and
     day 3 where that keeps the time of day exact) plus 300 random ones;
-    trajectory d's row is d, and odd trajectories sit in partition 1."""
+    trajectory d's row is d.  Partition 0's global ISA values are
+    ``0..n-1`` and partition 1's ``n..2n-1``; even trajectory d sits in
+    partition 0 at ISA d, odd d in partition 1 at ISA n + d."""
     rng = np.random.default_rng(11)
     tods = [v % DAY for ladder in ladders for rung in ladder
             for part in rung.tod_ranges() for v in part]
     tods += rng.uniform(0, DAY, 300).tolist()
     ts = tods + [v + 3 * DAY for v in tods if (v + 3 * DAY) % DAY == v]
     n = len(ts)
-    rows = pd.DataFrame({"e": 1, "t": ts, "isa": np.arange(n),
-                         "d": np.arange(n), "tt": 1.0, "a": 1.0, "seq": 0,
-                         "w": np.arange(n) % 2})
+    d = np.arange(n)
+    rows = pd.DataFrame({"e": 1, "t": ts, "isa": d + n * (d % 2), "d": d,
+                         "tt": 1.0, "a": 1.0, "seq": 0})
     return TemporalForest(rows, backend=backend), n
 
 
@@ -205,7 +269,8 @@ def test_ladder_rows_are_answering_rungs_own_scan(backend):
     assert len(ladders[7]) == len(ladders[8]) == 1
     f, n = _bound_forest(ladders, backend)
     lv = f.get(1)
-    ranges = np.array([[0, n], [0, n // 2]])  # half of partition 1 matches
+    # all of partition 0 and odd d < n // 2 of partition 1 match
+    ranges = np.array([[0, n], [n, n + n // 2]])
     n_bounds = 0
     for ladder in ladders:
         for rung in ladder:
@@ -248,7 +313,7 @@ def _pandas_reference(table, backend):
     tbl = table.sort_values(["e", "t"], kind="stable")
     e_arr = tbl["e"].to_numpy()
     cols = {c: tbl[c].to_numpy() for c in ("t", "isa", "d", "tt", "a",
-                                           "seq", "w")}
+                                           "seq")}
     d = cols["d"].astype(np.int64)
     first = np.concatenate(([0], np.cumsum(np.bincount(d))))
     row = first[d] + cols["seq"]
@@ -265,10 +330,9 @@ def _pandas_reference(table, backend):
             t=cols["t"][sl].astype(np.float64),
             isa=cols["isa"][sl].astype(np.int64),
             d=cols["d"][sl].astype(np.int64),
-            seq=cols["seq"][sl].astype(np.int64),
-            w=cols["w"][sl].astype(np.int64),
+            row=row[sl].astype(np.int64),
             backend=backend)
-    return segments, a, tt, first
+    return segments, a, tt
 
 
 def _tree_shape(tree):
@@ -297,9 +361,9 @@ def _tied_leaf_table(seed=4):
         tt = rng.uniform(1, 60, n_rec)
         for seq in range(n_rec):
             rows.append((e[seq], t[seq], rng.integers(0, 10 ** 6), d,
-                         tt[seq], tt[:seq + 1].sum(), seq, d % 3))
+                         tt[seq], tt[:seq + 1].sum(), seq))
     table = pd.DataFrame(rows, columns=["e", "t", "isa", "d", "tt", "a",
-                                        "seq", "w"])
+                                        "seq"])
     return table.iloc[rng.permutation(len(table))].reset_index(drop=True)
 
 
@@ -313,11 +377,11 @@ def test_tie_order_equals_pandas_stable_sort(backend):
     assert (table.groupby("e")["t"].apply(
         lambda t: (t % DAY).nunique() < t.nunique())).all()
     f = TemporalForest(table, backend=backend)
-    segments, a, tt, first = _pandas_reference(table, backend)
+    segments, a, tt = _pandas_reference(table, backend)
     assert sorted(f.segments) == sorted(segments) == [1, 2, 3, 4, 5]
     for e, ref in segments.items():
         got = f.segments[e]
-        for name in ("t", "isa", "d", "seq", "w", "tod_order"):
+        for name in ("t", "isa", "d", "row", "tod_order"):
             g, r = getattr(got, name), getattr(ref, name)
             assert g.dtype == r.dtype and np.array_equal(g, r), (e, name)
             assert g.base is None  # owns exactly its bytes
@@ -325,9 +389,8 @@ def test_tie_order_equals_pandas_stable_sort(backend):
             assert _tree_shape(getattr(got, tree)) == \
                 _tree_shape(getattr(ref, tree)), (e, tree)
         assert got.nbytes() == ref.nbytes()
-    for g, r in ((f.a, a), (f.tt, tt), (f.first, first)):
+    for g, r in ((f.a, a), (f.tt, tt)):
         assert g.dtype == r.dtype and np.array_equal(g, r)
     ref_forest = TemporalForest(table.iloc[:0], backend=backend)
-    ref_forest.segments, ref_forest.a, ref_forest.tt, ref_forest.first = (
-        segments, a, tt, first)
+    ref_forest.segments, ref_forest.a, ref_forest.tt = segments, a, tt
     assert f.memory_report() == ref_forest.memory_report()

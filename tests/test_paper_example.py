@@ -42,11 +42,16 @@ def test_bwt_matches_figure3(paper_index):
 def _read_string(idx):
     """The trajectory string, each word read forward from the ISA value of
     its trajectory's first record (row r starts with the symbol c whose
-    block holds r; the next row is ``occ[r]``), words in ``t0`` order."""
+    block holds r; the next row is ``occ[r]``), words in ``t0`` order.
+    A trajectory's records hold consecutive leaf rows, its first record
+    the smallest."""
     fm = idx.fms[0]
-    heads = sorted((float(lv.t[k]), int(d), int(lv.isa[k]))
-                   for lv in idx.forest.segments.values()
-                   for k, d in enumerate(lv.d) if lv.seq[k] == 0)
+    first = {}  # trajectory -> (row, t, isa) of its first record
+    for lv in idx.forest.segments.values():
+        for row, d, t, isa in zip(lv.row, lv.d, lv.t, lv.isa):
+            if d not in first or row < first[d][0]:
+                first[d] = (row, float(t), int(isa))
+    heads = sorted((t, int(d), isa) for d, (_, t, isa) in first.items())
     out = ""
     for _, _, r in heads:
         while True:
@@ -77,11 +82,11 @@ def test_layout_independent_of_row_order(paper_net, paper_traversals,
                                   getattr(paper_index.fms[0], name)), name
         assert np.array_equal(idx.user_of, paper_index.user_of)
         f, g = idx.forest, paper_index.forest
-        for name in ("first", "a", "tt"):
+        for name in ("a", "tt"):
             assert np.array_equal(getattr(f, name), getattr(g, name)), name
         assert sorted(f.segments) == sorted(g.segments)
         for e, lv in f.segments.items():
-            for name in ("t", "isa", "d", "seq", "w", "tod_order"):
+            for name in ("t", "isa", "d", "row", "tod_order"):
                 assert np.array_equal(getattr(lv, name),
                                       getattr(g.segments[e], name)), (e, name)
 
@@ -93,8 +98,10 @@ def test_layout_independent_of_row_order(paper_net, paper_traversals,
     ([A, B, E], (4, 6)),
     ([A, B, F6], (6, 7)),
     ([C, D, E], (11, 12)),  # single C-suffix: ranks $:0-3, A:4-7, B:8-10, C:11
-    ([F6, A], (0, 0)),     # never traversed
-    ([E, A], (0, 0)),
+    # never traversed: the empty range sits after the suffixes smaller
+    # than the path, "F$" and the three "E$" ones being smaller than FA/EA
+    ([F6, A], (17, 17)),
+    ([E, A], (16, 16)),
 ])
 def test_isa_ranges(paper_index, path, expected):
     assert paper_index.isa_ranges(path).tolist() == [list(expected)]
@@ -120,10 +127,11 @@ def test_temporal_index_of_A(paper_index):
     f = paper_index.forest
     seg = f.get(A)
     assert list(seg.t) == [0, 2, 4, 6]
-    rows = f.first[seg.d] + seg.seq
-    assert list(f.tt[rows]) == [3, 4, 3, 3]
-    assert list(f.a[rows]) == [3, 4, 3, 3]   # first segment: a = TT
-    assert list(seg.seq) == [0, 0, 0, 0]
+    # trajectory rows start at first = [0, 3, 7, 10]: every A record is
+    # its trajectory's seq 0
+    assert list(seg.row) == [0, 3, 7, 10]
+    assert list(f.tt[seg.row]) == [3, 4, 3, 3]
+    assert list(f.a[seg.row]) == [3, 4, 3, 3]   # first segment: a = TT
     # all four A-records' ISA values fall inside R(<A>) = [4, 8)
     assert set(seg.isa) == {4, 5, 6, 7}
 
@@ -133,9 +141,8 @@ def test_buildmap_probemap_example(paper_index):
     ranges = paper_index.isa_ranges([A, B, E])
     f = paper_index.forest
     m = f.build_map(A, ranges, fixed(0, 15), None, None, paper_index.user_of)
-    # trajectory rows start at first = [0, 3, 7, 10, 13]: tr0's and tr3's
+    # trajectory rows start at first = [0, 3, 7, 10]: tr0's and tr3's
     # records at seq 0, where a0 - TT0 = 0
-    assert f.first.tolist() == [0, 3, 7, 10, 13]
     assert m.tolist() == [0, 10]
     assert (f.a[m] - f.tt[m]).tolist() == [0.0, 0.0]
     xs = f.probe_map(E, 3, m)

@@ -1,33 +1,46 @@
-"""perfbench's span tracer still fits the program it patches.
+"""perfbench's span tracer and memory walk still fit the program.
 
 ``perfbench/spans.py`` wraps program functions by name and reads some
 of their arguments by position, so a rename or a reordered signature
-breaks a traced benchmark run without failing any other test.  The
-module is loaded from its file as it is.
+breaks a traced benchmark run without failing any other test.
+``perfbench/checks.py`` and ``run.py`` read index attributes outside any
+patch (``fms``, ``n_partitions``, the walked arrays).  Both modules are
+loaded from their files as they are.
 """
 import importlib.util
 import inspect
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.core.cardinality import CardinalityEstimator
-from repro.core.intervals import periodic
+from repro.core.intervals import DAY, periodic
 from repro.core.query import trip_query
 from repro.core.spq import SPQ
 from repro.index.snt import SNTIndex
 from repro.temporal.forest import TemporalForest
 from tests.conftest import A, B, E
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
 
 
 @pytest.fixture(scope="module")
 def spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    return mod
+    return _load("spans")
+
+
+@pytest.fixture(scope="module")
+def checks():
+    return _load("checks")
 
 
 def _position(fn, name: str) -> int:
@@ -70,3 +83,21 @@ def test_traced_query_records_every_layer(spans, paper_index):
         assert tracer.log[name], name
     m = spans.layer_metrics(tracer, 1, 1.0)
     assert m["snt.scans_per_query"] == res.n_index_scans
+
+
+@pytest.mark.parametrize("days", [None, 180])
+def test_index_attributes_read_outside_patches(checks, small_net,
+                                               small_traversals, days):
+    """``build.string_len``, ``build.n_partitions`` and the memory walk:
+    the strings hold one symbol per record plus one ``$`` per trajectory,
+    W is the number of distinct start-time partitions, and the walk finds
+    no array that ``memory_report`` leaves out."""
+    from repro.index.build import build_index_local
+    index = build_index_local(small_net, small_traversals,
+                              partition_days=days)
+    trav = small_traversals
+    assert sum(fm.n for fm in index.fms) == len(trav) + trav["d"].nunique()
+    t0 = trav.groupby("d")["t"].min().to_numpy()
+    want = 1 if days is None else len(np.unique(t0 // (days * DAY)))
+    assert index.n_partitions == want and (want > 1) == (days is not None)
+    assert checks.memory_split(index)["mem.unreported_mib"] == 0

@@ -172,7 +172,7 @@ def _route(index, d0):
     rows = []
     for e, lv in index.forest.segments.items():
         for j in np.nonzero(lv.d == d0)[0]:
-            rows.append((int(lv.seq[j]), e, float(lv.t[j])))
+            rows.append((int(lv.row[j]), e, float(lv.t[j])))
     rows.sort()
     return tuple(e for _s, e, _t in rows), rows[0][2]
 

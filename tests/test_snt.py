@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from repro.core.intervals import DAY, fixed, periodic
-from tests.conftest import A, B, C, E, U1
+from tests.conftest import A, B, C, E, U1, leaf_partition
 
 
 def test_periodic_under_beta_returns_empty(paper_index):
@@ -84,7 +84,7 @@ def test_served_fmindex_holds_search_tables(paper_index):
     # one FM-index for all partitions; the build reads the transient isa
     # and deletes it
     (fm,) = paper_index.fms
-    assert set(vars(fm)) == {"B", "D", "occ", "span", "start", "n"}
+    assert set(vars(fm)) == {"B", "D", "occ", "span", "n"}
 
 
 def _array_bytes(root, skip) -> int:
@@ -136,7 +136,7 @@ def test_tod_store_matches_leaf_loop(small_net, small_traversals):
     assert idx.n_partitions > 1
     ref = {}
     for e, lv in idx.forest.segments.items():
-        for t, w in zip(lv.t, lv.w):
+        for t, w in zip(lv.t, leaf_partition(idx, lv.isa)):
             h = ref.setdefault((int(w), e), np.zeros(144))
             h[min(int(t % DAY // 600), 143)] += 1
     first = idx.tod_first
@@ -157,11 +157,12 @@ def _tod_selectivity_by_partition(idx, e, interval):
     sum is capped at 1, and an empty or inverted range counts nothing."""
     tot = sel = 0.0
     lv = idx.forest.get(e)
+    part = None if lv is None else leaf_partition(idx, lv.isa)
     for w in range(idx.n_partitions):
-        if lv is None or not (lv.w == w).any():
+        if lv is None or not (part == w).any():
             continue
         h = np.zeros(144)
-        np.add.at(h, np.minimum(lv.t[lv.w == w] % DAY // 600, 143)
+        np.add.at(h, np.minimum(lv.t[part == w] % DAY // 600, 143)
                   .astype(int), 1)
         tot += h.sum()
         for lo, hi in interval.tod_ranges():
