@@ -59,7 +59,9 @@ def main() -> None:
                                       estimator_mode=mode)
                 rows_b.append({"partition": label, "backend": backend,
                                "estimator": mode or "none",
-                               "ms_per_query": row["ms_per_query"]})
+                               "ms_per_query": row["ms_per_query"],
+                               "ms_p50": row["ms_p50"],
+                               "ms_p95": row["ms_p95"]})
                 rows_c.append({"partition": label, "backend": backend,
                                "estimator": mode or "none",
                                "smape": row["smape"]})

@@ -13,14 +13,17 @@ Every sub-query climbs its sigma widening ladder
 (:func:`repro.core.splitting.widen_ladder`) in place; a fixed window, a
 window already at alpha_max or a sub-query without ``beta`` is a
 one-rung ladder.  For a periodic sub-query with ``beta`` the estimator
-is asked rung by rung, and the first rung it lets through scans the
-ladder's widest window once
-(:meth:`repro.index.snt.SNTIndex.get_travel_times`), which finds the
-first rung with ``beta`` matches.  The answer is the first rung that
-both the estimate and the scan let through, with the samples a scan of
-that rung alone returns, so the answers are those of widening and
-rescanning one rung at a time.  A ladder that no rung answers is
-relaxed from its widest rung (split, drop f, fixed fallback).  Each
+rates the whole ladder in one call
+(:meth:`repro.core.cardinality.CardinalityEstimator.estimate_ladder`),
+and the rungs with beta_hat >= beta are admitted.  One scan of the
+widest admitted rung (:meth:`repro.index.snt.SNTIndex.get_travel_times`
+over the admitted sub-ladder) finds the first admitted rung with
+``beta`` matches.  The answer is the first rung that both the estimate
+and the count let through, with the samples a scan of that rung alone
+returns, so the answers are those of estimating, widening and
+rescanning one rung at a time.  A ladder that no rung answers, or whose
+rungs the estimator all turns away (then without a scan), is relaxed
+from its widest rung (split, drop f, fixed fallback).  Each
 query searches a path's ISA ranges once and reuses them for scans,
 estimates and sigma_L probes.  A path holding an id that is not an
 edge is rejected before partitioning.
@@ -65,10 +68,12 @@ class QueryResult:
 
     hist: Histogram
     subs: list[SubResult]
-    #: forest scans made (``get_travel_times`` calls); a widening ladder
-    #: makes one, so with ``beta`` set there are at most 4|P| - 1
+    #: forest scans made (``get_travel_times`` calls): at most one per
+    #: widening ladder, none when the estimator admits no rung, so with
+    #: ``beta`` set there are at most 4|P| - 1
     n_index_scans: int = 0
-    #: estimator calls
+    #: rungs estimated as a rung-by-rung climb would: each rung up to
+    #: the answering one (one ``estimate_ladder`` call per ladder)
     n_estimates: int = 0
     #: sigma steps taken, including widenings the ladder scan answered
     n_relaxations: int = 0
@@ -133,29 +138,31 @@ def trip_query(index: SNTIndex, spq: SPQ, *, partition_method: str,
         # window at alpha_max or a sub-query without beta is one rung
         ladder = (widen_ladder(q.interval) if q.beta is not None
                   else [q.interval])
-        r, at = None, len(ladder)  # at: the rung the scan answers
-        for k, window in enumerate(ladder):
-            if (estimator is not None and q.beta is not None
-                    and window.periodic):
-                res.n_estimates += 1
-                if estimator.estimate(q.with_(interval=window),
-                                      ranges(q.path)) < q.beta:
-                    res.n_relaxations += 1
-                    continue
-            # scan again only if the estimator turned away the answering rung
-            if r is None or at < k:
-                res.n_index_scans += 1
-                r = index.get_travel_times(q.path, ladder[-1], q.user,
-                                           q.beta, exclude_d, q.timeframe,
-                                           ranges(q.path), ladder[k:])
-                at = k + r.rung if r.xs else len(ladder)
-            if at == k:
-                subs.append(SubResult(q.with_(interval=window), r.xs,
-                                      r.fallback))
-                s_acc += min(r.xs)
-                r_acc += max(r.xs) - min(r.xs)
-                break
-            res.n_relaxations += 1
+        estimated = (estimator is not None and q.beta is not None
+                     and q.interval.periodic)
+        admitted = range(len(ladder))  # the rungs the estimator admits
+        if estimated:
+            est = estimator.estimate_ladder(q, ladder, ranges(q.path))
+            admitted = [k for k, b in enumerate(est) if b >= q.beta]
+        at = len(ladder)  # the answering rung, if any
+        if admitted:
+            res.n_index_scans += 1
+            r = index.get_travel_times(q.path, ladder[admitted[-1]], q.user,
+                                       q.beta, exclude_d, q.timeframe,
+                                       ranges(q.path),
+                                       [ladder[k] for k in admitted])
+            if r.xs:
+                at = admitted[r.rung]
+        # the counters of a rung-by-rung climb: an estimate per rung up
+        # to the answer, a relaxation per rung before it
+        if estimated:
+            res.n_estimates += min(at + 1, len(ladder))
+        res.n_relaxations += at
+        if at < len(ladder):
+            subs.append(SubResult(q.with_(interval=ladder[at]), r.xs,
+                                  r.fallback))
+            s_acc += min(r.xs)
+            r_acc += max(r.xs) - min(r.xs)
         else:
             queue.extendleft((nq, shifted) for nq in reversed(
                 relax(q.with_(interval=ladder[-1]), split_method, card,

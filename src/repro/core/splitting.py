@@ -71,15 +71,16 @@ def widen_ladder(i: Interval) -> list[Interval]:
     """
     alpha_max = DEFAULT_ALPHAS[-1]
     ladder = [i]
+    size = i.size
     # 1e-6 s tolerances absorb float roundoff from widen/shift-and-enlarge
-    while i.periodic and i.size < alpha_max - 1e-6:
-        bigger = next((a for a in DEFAULT_ALPHAS if a > i.size + 1e-6),
+    while i.periodic and size < alpha_max - 1e-6:
+        bigger = next((a for a in DEFAULT_ALPHAS if a > size + 1e-6),
                       alpha_max)
         w = widen(i, bigger)
-        if not w.size > i.size:
+        if not w.size > size:
             break
         ladder.append(w)
-        i = w
+        i, size = w, w.size
     return ladder
 
 

@@ -13,6 +13,7 @@ segments with no data.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,11 +97,12 @@ class SNTIndex:
         no relaxation could ever answer it.
 
         ``ranges`` is ``isa_ranges(path)`` when the caller already has
-        it.  ``rungs`` (with ``beta``) is a widening ladder ending at
-        ``interval``, ``None`` the one-rung ladder: one scan answers the
-        first rung with ``beta`` matches, as a scan of that rung alone
-        would, and ``rung`` says which; an empty result of a periodic
-        ladder means no rung had them.
+        it.  ``rungs`` (with ``beta``) is a widening ladder, or a
+        subsequence of one, ending at ``interval``; ``None`` is the
+        one-rung ladder.  One scan answers the first rung with ``beta``
+        matches, as a scan of that rung alone would, and ``rung`` says
+        which; an empty result of a periodic ladder means no rung had
+        them.
         """
         path = list(path)
         if ranges is None:
@@ -125,34 +127,42 @@ class SNTIndex:
 
     # -- estimator support ------------------------------------------------
     def tod_selectivity(self, e: int, interval: Interval) -> float:
-        """Eq. 2: fraction of segment entries inside the periodic window.
+        """Eq. 2 for one window: the one-rung case of
+        :meth:`tod_selectivities`."""
+        return self.tod_selectivities(e, [interval])[0]
 
-        Sums, over segment ``e``'s rows of the prefix-sum store (one per
-        partition), the last column for the total and the two bounding
-        columns of each in-day range for the window.  The two ranges of a
-        window just short of a day can share a bucket and count it twice,
-        so the sum is capped at 1.  A window of size <= 0 selects nothing,
-        as in Eq. 1.  A segment with no entries, or an id outside
-        ``0..|Σ|-1``, gets the uniform Eq. 1.
+    def tod_selectivities(self, e: int,
+                          rungs: list[Interval]) -> list[float]:
+        """Eq. 2 per window: fraction of segment entries inside it.
+
+        Sums segment ``e``'s rows of the prefix-sum store (one per
+        partition) once; the last column of the sum is the total, and a
+        window's count is the difference of two bounding columns per
+        in-day range.  The two ranges of a window just short of a day can
+        share a bucket and count it twice, so the sum is capped at 1.  A
+        window of size <= 0 selects nothing, as in Eq. 1.  A segment with
+        no entries, or an id outside ``0..|Σ|-1``, gets the uniform Eq. 1.
         """
         first = self.tod_first
         if not 0 <= e < len(first) - 1:
-            return uniform_selectivity(interval)
-        rows = self.tod_hist[first[e]:first[e + 1]]
-        tot = rows[:, -1].sum()
+            return [uniform_selectivity(i) for i in rungs]
+        # exact integer column sums: the same counts for every rung
+        cum = self.tod_hist[first[e]:first[e + 1]].sum(axis=0).tolist()
+        tot = cum[-1]
         if tot == 0:
-            return uniform_selectivity(interval)
-        sel = 0
-        for lo, hi in interval.tod_ranges():
-            if hi <= lo:
-                continue
-            b0 = int(lo // TOD_BUCKET)
-            b1 = min(rows.shape[1], int(np.ceil(hi / TOD_BUCKET)))
-            if b1 > b0:
-                sel += rows[:, b1 - 1].sum()
-                if b0 > 0:
-                    sel -= rows[:, b0 - 1].sum()
-        return min(1.0, float(sel / tot))
+            return [uniform_selectivity(i) for i in rungs]
+        out = []
+        for interval in rungs:
+            sel = 0
+            for lo, hi in interval.tod_ranges():
+                if hi <= lo:
+                    continue
+                b0 = int(lo // TOD_BUCKET)
+                b1 = min(len(cum), math.ceil(hi / TOD_BUCKET))
+                if b1 > b0:
+                    sel += cum[b1 - 1] - (cum[b0 - 1] if b0 > 0 else 0)
+            out.append(min(1.0, sel / tot))
+        return out
 
     def segment_time_bounds(self, e: int) -> tuple[float, float] | None:
         """Earliest/latest entry timestamps of segment ``e`` (Eq. 3)."""

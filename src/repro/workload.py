@@ -15,7 +15,11 @@ The query trajectory's own id is excluded from retrieval (self-leakage
 guard; see DESIGN.md).  ``evaluate_config`` runs one configuration grid
 cell — (query type, pi, sigma, beta, estimator) — over the query set
 and reports every sec.-5.3 metric plus latency and the Fig.-7 average
-sub-path length; ``qerrors`` is the Fig.-11a estimator protocol.
+sub-path length.  One pass over the query set moved a cell's ms/query
+by up to 2x on a shared host, so a cell runs ``TIMED_PASSES`` passes:
+``ms_per_query`` is the median of the passes' means, ``ms_p50`` and
+``ms_p95`` are percentiles of each query's median time.  ``qerrors`` is
+the Fig.-11a estimator protocol.
 """
 from __future__ import annotations
 
@@ -35,6 +39,8 @@ from repro.core.spq import SPQ
 from repro.index.snt import SNTIndex
 
 QUERY_TYPES = ("temporal", "user", "spq_only")
+#: passes over the query set per grid cell; a cell's times are medians
+TIMED_PASSES = 3
 
 
 @dataclass(frozen=True)
@@ -107,14 +113,21 @@ def evaluate_config(index: SNTIndex, queries: list[QueryTrajectory], *,
     """Run one grid cell over the query set; return the metric row."""
     est = (CardinalityEstimator(index, estimator_mode)
            if estimator_mode else None)
-    smapes, wes, lls, sublens, times_ms = [], [], [], [], []
-    for qt in queries:
-        spq = make_spq(qt, query_type, beta)
-        t0 = time.perf_counter()
-        res = trip_query(index, spq, partition_method=partition_method,
-                         split_method=split_method, estimator=est,
-                         exclude_d=qt.d)
-        times_ms.append((time.perf_counter() - t0) * 1e3)
+    # ms[p, j]: query j in pass p; the answers come from the first pass
+    ms = np.empty((TIMED_PASSES, len(queries)))
+    results = []
+    for p in range(TIMED_PASSES):
+        for j, qt in enumerate(queries):
+            spq = make_spq(qt, query_type, beta)
+            t0 = time.perf_counter()
+            res = trip_query(index, spq, partition_method=partition_method,
+                             split_method=split_method, estimator=est,
+                             exclude_d=qt.d)
+            ms[p, j] = (time.perf_counter() - t0) * 1e3
+            if p == 0:
+                results.append(res)
+    smapes, wes, lls, sublens = [], [], [], []
+    for qt, res in zip(queries, results):
         smapes.append(smape_term(res.estimate, qt.actual))
         # align final sub-queries with ground-truth sub-path durations
         lens = np.array([float(index.net.length[e]) for e in qt.path])
@@ -125,6 +138,7 @@ def evaluate_config(index: SNTIndex, queries: list[QueryTrajectory], *,
         wes.append(weighted_error_term(sub_means, sub_actual, sub_len))
         lls.append(log_likelihood(qt.actual, res.hist))
         sublens.append(res.avg_subpath_len)
+    per_query = np.median(ms, axis=0)
     return {
         "query_type": query_type, "pi": partition_method,
         "sigma": split_method, "beta": beta,
@@ -134,7 +148,9 @@ def evaluate_config(index: SNTIndex, queries: list[QueryTrajectory], *,
         "weighted_error": float(np.mean(wes)),
         "log_likelihood": float(np.mean(lls)),
         "avg_subpath_len": float(np.mean(sublens)),
-        "ms_per_query": float(np.mean(times_ms)),
+        "ms_per_query": float(np.median(ms.mean(axis=1))),
+        "ms_p50": float(np.percentile(per_query, 50)),
+        "ms_p95": float(np.percentile(per_query, 95)),
     }
 
 

@@ -5,8 +5,11 @@ import pytest
 from repro.core.cardinality import ESTIMATOR_MODES, SEL_USER, CardinalityEstimator
 from repro.core.intervals import DAY, fixed, periodic
 from repro.core.metrics import q_error
+from repro.core.splitting import widen_ladder
 from repro.core.spq import SPQ
+from repro.index.snt import uniform_selectivity
 from tests.conftest import A, B, E, U1
+from tests.test_snt import _tod_selectivity_by_partition
 
 
 def q(path, ivl, user=None, beta=20, tf=None):
@@ -160,3 +163,104 @@ def test_empty_window_estimates_zero(small_index, small_index_30d, mode):
                         e, index.isa_ranges([e]), ivl, None, None,
                         index.user_of).size == 0
                     assert est.estimate(q([e], ivl)) == 0.0, (e, ts, size)
+
+
+def _reference_estimate(est, spq):
+    """beta_hat of one window as the paper composes it, with Eq. 2 read
+    from one bucket-count histogram per partition."""
+    index = est.index
+    c_p = index.path_count(spq.path)
+    if est.mode == "ISA" or c_p == 0:
+        return float(c_p)
+    e0 = spq.path[0]
+    sel = 1.0
+    if spq.interval.periodic:
+        if est.mode.endswith("Acc"):
+            sel *= _tod_selectivity_by_partition(index, e0, spq.interval)
+        else:
+            sel *= uniform_selectivity(spq.interval)
+    if spq.timeframe is not None:
+        sel *= est._seltf(e0, spq.timeframe)
+    if spq.user is not None:
+        sel *= SEL_USER
+    return sel * c_p
+
+
+def _generated_ladders(index, traversals, n, seed):
+    """``(spq, ladder)`` over real trips: windows centred on the trip's
+    start, some moved next to midnight so that they wrap, and sizes from
+    below alpha_min to over a day; user and time-frame predicates on
+    some of them."""
+    trav = traversals.sort_values(["d", "seq"])
+    trips = [(int(g["u"].iloc[0]), g["e"].to_numpy(), g["t"].to_numpy())
+             for _, g in trav.groupby("d") if len(g) >= 3]
+    rng = np.random.default_rng(seed)
+    out = []
+    for i in range(n):
+        u, es, ts = trips[int(rng.integers(len(trips)))]
+        s = int(rng.integers(len(es) - 2))
+        path = tuple(int(e) for e in es[s:s + int(rng.integers(1, 6))])
+        tod = float(ts[s]) % DAY
+        if i % 3 == 0:
+            tod = float(rng.uniform(-1800, 1800)) % DAY
+        half = float(rng.choice([450.0, rng.uniform(60, 3000),
+                                 rng.uniform(3600, 5000), DAY]))
+        tf = ((float(ts[s]) - 30 * DAY, float(ts[s])) if i % 4 == 1
+              else None)
+        spq = SPQ(path=path, interval=periodic(tod - half, tod + half),
+                  user=u if i % 5 == 0 else None, beta=20, timeframe=tf)
+        out.append((spq, widen_ladder(spq.interval)))
+    return out
+
+
+@pytest.mark.parametrize("mode", ESTIMATOR_MODES)
+def test_estimate_ladder_equals_estimate_per_rung(
+        small_index, small_index_30d, small_traversals, mode):
+    """Each rung's value is bit-identical to a one-window estimate and
+    to the paper's per-window composition; Eq. 2 of the stacked store
+    equals the per-partition walk rung by rung.  At W = 1 and W > 2,
+    with windows that wrap midnight and windows of 120 min or more."""
+    assert small_index.n_partitions == 1
+    assert small_index_30d.n_partitions > 2
+    for index in (small_index, small_index_30d):
+        est = CardinalityEstimator(index, mode)
+        wraps = big = climbs = 0
+        for spq, ladder in _generated_ladders(index, small_traversals, 60,
+                                              seed=4):
+            got = est.estimate_ladder(spq, ladder, index.isa_ranges(
+                spq.path))
+            assert len(got) == len(ladder)
+            for k, rung in enumerate(ladder):
+                one = spq.with_(interval=rung)
+                assert got[k] == est.estimate(one), (spq, k)
+                assert got[k] == _reference_estimate(est, one), (spq, k)
+                wraps += len(rung.tod_ranges()) == 2
+                big += rung.size >= 7200
+            sels = index.tod_selectivities(spq.path[0], ladder)
+            assert sels == [_tod_selectivity_by_partition(
+                index, spq.path[0], rung) for rung in ladder]
+            climbs += len(ladder) > 2
+        assert wraps and big and climbs
+
+
+@pytest.mark.parametrize("mode", ESTIMATOR_MODES)
+def test_estimate_ladder_is_non_decreasing(small_index, small_index_30d,
+                                           small_traversals, mode):
+    """A wider rung never gets a smaller estimate, so the rungs an
+    estimator admits (beta_hat >= beta) are a suffix of the ladder."""
+    for index in (small_index, small_index_30d):
+        est = CardinalityEstimator(index, mode)
+        for spq, ladder in _generated_ladders(index, small_traversals, 80,
+                                              seed=8):
+            got = est.estimate_ladder(spq, ladder)
+            assert got == sorted(got), (spq, got)
+
+
+def test_estimate_ladder_of_a_fixed_window(small_index):
+    """A fixed window is a one-rung ladder without a time-of-day factor."""
+    seg = sorted(small_index.forest.segments)[0]
+    spq = q([seg], fixed(0.0, 1e9), user=U1, tf=(0.0, 5e5))
+    for mode in ESTIMATOR_MODES:
+        est = CardinalityEstimator(small_index, mode)
+        assert est.estimate_ladder(spq, [spq.interval]) == \
+            [est.estimate(spq)] == [_reference_estimate(est, spq)]

@@ -20,7 +20,7 @@ from repro.core.query import trip_query
 from repro.core.spq import SPQ
 from repro.index.snt import SNTIndex
 from repro.temporal.forest import TemporalForest
-from tests.conftest import A, B, E
+from tests.conftest import A, B, C, D, E
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -66,23 +66,32 @@ def test_recorded_argument_positions(spans):
 
 
 def test_traced_query_records_every_layer(spans, paper_index):
-    """A query run under the query patch logs each layer, and the
-    per-layer metrics come out of the log."""
+    """Queries run under the query patch log each layer, and the
+    per-layer metrics come out of the log.  ``trip_query`` estimates a
+    ladder with ``estimate_ladder``, so ``cardinality.estimate`` is
+    recorded by the sigma_L probes of the second query: one example trip
+    traverses <A, C, D, E>, so with beta = 2 it is split."""
     tracer = spans.Tracer()
     est = CardinalityEstimator(paper_index, "CSS-Acc")
-    spq = SPQ(path=(A, B, E), interval=periodic(-450, 450), beta=3)
+    runs = [(SPQ(path=(A, B, E), interval=periodic(-450, 450), beta=3),
+             "p1", "regular"),
+            (SPQ(path=(A, C, D, E), interval=periodic(-450, 450), beta=2),
+             "none", "longest_prefix")]
+    results = []
     with spans.Patch(tracer, spans.query_targets()):
-        tracer.query = 0
-        res = trip_query(paper_index, spq, partition_method="p1",
-                         split_method="regular", estimator=est)
-    assert res.subs
+        for i, (spq, pm, sm) in enumerate(runs):
+            tracer.query = i
+            results.append(trip_query(paper_index, spq, partition_method=pm,
+                                      split_method=sm, estimator=est))
+    assert all(res.subs for res in results)
     for name in ("snt.get_travel_times", "forest.build_map",
                  "forest.candidates", "forest.probe_map",
                  "fmindex.isa_ranges", "cardinality.estimate",
                  "partitioning.partition"):
         assert tracer.log[name], name
-    m = spans.layer_metrics(tracer, 1, 1.0)
-    assert m["snt.scans_per_query"] == res.n_index_scans
+    m = spans.layer_metrics(tracer, len(runs), 1.0)
+    assert m["snt.scans_per_query"] == \
+        sum(res.n_index_scans for res in results) / len(runs)
 
 
 @pytest.mark.parametrize("days", [None, 180])

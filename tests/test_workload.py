@@ -78,6 +78,7 @@ def test_evaluate_config_runs(spark_index, queries, qt):
     assert 0 <= row["smape"] <= 200
     assert 0 <= row["weighted_error"] <= 200
     assert row["ms_per_query"] > 0
+    assert 0 < row["ms_p50"] <= row["ms_p95"]
     assert row["avg_subpath_len"] >= 1
     assert np.isfinite(row["log_likelihood"])
 
