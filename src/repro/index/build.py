@@ -1,24 +1,24 @@
-"""SNT-index construction (paper sec. 4.1) — Spark dataflow + local twin.
+"""SNT-index construction (paper sec. 4.1).
 
-:func:`build_index` runs one Spark stage over the traversals, the
-running aggregate ``a = sum(TT) over (partition by d order by seq)``
-(sec. 4.1.3), and collects it with ``d, u, seq, e, t, tt``.
-:func:`build_index_local` is the pandas twin of that stage (a grouped
-``cumsum``), used by non-Spark unit tests and as the equivalence oracle
-for the dataflow.
+:func:`build_index` collects the traversal columns ``d, u, seq, e, t,
+tt`` of a Spark DataFrame to the driver, and :func:`build_index_local`,
+the one assembly, builds the index from them as a pandas table.
 
-Both feed :func:`_assemble`, the one implementation of the string
-layout.  It puts the rows in ``(d, seq)`` order (Spark's collect order
-is arbitrary) and takes each trajectory's start time ``t0 = min(t)``
-and length.  The temporal partition is ``w = floor(t0 /
+It puts the records in ``(d, seq)`` order (Spark's collect order is
+arbitrary), the one record order from here to the probe: it requires
+each trajectory's ``seq`` to be exactly ``0..len-1``, takes each
+trajectory's start time ``t0 = min(t)`` and length, and computes the
+running aggregate ``a`` (sec. 4.1.3) as a left-to-right sum of ``tt``
+along each trajectory.  The temporal partition is ``w = floor(t0 /
 partition_span)`` (sec. 4.3.2), densified to ``0..W-1`` in time order.
 Trajectories are laid out in ``(w, t0, d)`` order, each followed by one
 ``$`` terminator, so the W partition strings lie end to end and record
 ``seq`` of trajectory ``d`` sits at ``offset[d] + seq``, with
 ``offset`` the exclusive running sum of ``len + 1``.  One FM-index is
 built over the W strings, each leaf's global ISA value (which names its
-partition) is read back by position, and the forest, the U map and the
-ToD histogram store are constructed.
+partition) is read back by position, and the forest (over the records
+in their ``(d, seq)`` order), the U map and the ToD histogram store are
+constructed.
 """
 from __future__ import annotations
 
@@ -27,8 +27,6 @@ import time
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
-from pyspark.sql.window import Window
 
 from repro.core.intervals import DAY
 from repro.fmindex.fm import FMIndex
@@ -36,27 +34,54 @@ from repro.index.snt import TOD_BUCKET, SNTIndex
 from repro.network.graph import RoadNetwork
 from repro.temporal.forest import TemporalForest
 
-LEAF_COLUMNS = ["d", "u", "seq", "e", "t", "tt", "a"]
+
+def build_index(spark: SparkSession, net: RoadNetwork, traversals: DataFrame,
+                *, partition_days: float | None = None,
+                backend: str = "css") -> SNTIndex:
+    """Build the adapted SNT-index from a Spark traversal DataFrame.
+
+    ``partition_days=None`` is the paper's FULL (single-partition)
+    configuration; ``backend`` selects the temporal tree ("css"/"bt").
+    """
+    pdf = traversals.select("d", "u", "seq", "e", "t", "tt").toPandas()
+    return build_index_local(net, pdf, partition_days=partition_days,
+                             backend=backend)
 
 
-def _assemble(net: RoadNetwork, leaves: pd.DataFrame, *,
-              partition_days: float | None, backend: str) -> SNTIndex:
-    """Driver-side assembly: string layout -> FM-index -> ISA -> forest/U/ToD."""
+def build_index_local(net: RoadNetwork, traversals: pd.DataFrame, *,
+                      partition_days: float | None = None,
+                      backend: str = "css") -> SNTIndex:
+    """Driver-side assembly from a pandas traversal table (any row order):
+    string layout -> FM-index -> ISA -> forest/U/ToD."""
     alphabet = net.n_edges + 1
     # rows in (d, seq) order, as the forest keeps (e, t) ties in row
     # order; one packed key, which the collected runs make cheap to sort
-    d = leaves["d"].to_numpy(dtype=np.int64)
-    seq = leaves["seq"].to_numpy(dtype=np.int64)
+    d = traversals["d"].to_numpy(dtype=np.int64)
+    seq = traversals["seq"].to_numpy(dtype=np.int64)
     o = np.argsort(d * (int(seq.max()) + 1) + seq, kind="stable")
     d, seq = d[o], seq[o]
-    col = {c: leaves[c].to_numpy()[o] for c in ("u", "e", "t", "tt", "a")}
+    col = {c: traversals[c].to_numpy()[o] for c in ("u", "e", "t")}
     e = col["e"].astype(np.int64)
+    tt = traversals["tt"].to_numpy(dtype=np.float64)[o]
 
-    # per trajectory (ids ascending): length, t0, partition, offset
+    # per trajectory (ids ascending): length, first row, t0, partition,
+    # offset
     n_rec = np.bincount(d)
     ids = np.flatnonzero(n_rec)
     lens = n_rec[ids]
-    t0 = np.minimum.reduceat(col["t"], np.cumsum(lens) - lens)
+    head = np.cumsum(lens) - lens
+    # the layout and the running sum read seq as the position in the trip
+    bad = np.flatnonzero(seq != np.arange(len(d)) - np.repeat(head, lens))
+    if len(bad):
+        raise ValueError(f"trajectory {int(d[bad[0]])}: seq is not "
+                         f"0..{int(n_rec[d[bad[0]]]) - 1}")
+    # a = tt summed left to right along each trajectory, record by record
+    # (a plain float sum; pandas' grouped cumsum compensates)
+    a = tt.copy()
+    for k in range(1, int(lens.max())):
+        at = head[lens > k] + k
+        a[at] += a[at - 1]
+    t0 = np.minimum.reduceat(col["t"], head)
     wraw = (np.floor(t0 / (partition_days * DAY)).astype(np.int64)
             if partition_days else np.zeros(len(ids), dtype=np.int64))
     wvals, wt = np.unique(wraw, return_inverse=True)
@@ -73,11 +98,8 @@ def _assemble(net: RoadNetwork, leaves: pd.DataFrame, *,
     text[gpos] = e
     starts = offset[np.searchsorted(wt[order], np.arange(1, n_part))]
     fm = FMIndex(np.split(text, starts), alphabet)
-    forest = TemporalForest(
-        pd.DataFrame({"e": e, "t": col["t"], "d": d, "tt": col["tt"],
-                      "a": col["a"], "seq": seq, "isa": fm.isa[gpos]},
-                     copy=False),  # the forest gathers copies
-        backend=backend)
+    forest = TemporalForest(e, col["t"], fm.isa[gpos], d, tt, a,
+                            backend=backend)
     del fm.isa  # the served index keeps only the search tables + occ
 
     user_of = np.full(len(off_of), -1, dtype=np.int64)
@@ -100,34 +122,8 @@ def _assemble(net: RoadNetwork, leaves: pd.DataFrame, *,
     tod_first = np.append(0, np.cumsum(
         present.reshape(alphabet, n_part).sum(axis=1)))
 
-    tmax = float(col["t"].max() + col["tt"].max())
+    tmax = float(col["t"].max() + tt.max())
     return SNTIndex(net, fm, forest, user_of, tod_hist, tod_first, tmax)
-
-
-def build_index(spark: SparkSession, net: RoadNetwork, traversals: DataFrame,
-                *, partition_days: float | None = None,
-                backend: str = "css") -> SNTIndex:
-    """Build the adapted SNT-index with the Spark dataflow.
-
-    ``partition_days=None`` is the paper's FULL (single-partition)
-    configuration; ``backend`` selects the temporal tree ("css"/"bt").
-    """
-    seq_win = Window.partitionBy("d").orderBy("seq")
-    leaf_df = (traversals
-               .withColumn("a", F.sum("tt").over(seq_win))
-               .select(*LEAF_COLUMNS))
-    return _assemble(net, leaf_df.toPandas(),
-                     partition_days=partition_days, backend=backend)
-
-
-def build_index_local(net: RoadNetwork, traversals: pd.DataFrame, *,
-                      partition_days: float | None = None,
-                      backend: str = "css") -> SNTIndex:
-    """Pandas twin of :func:`build_index` (the same running sum, no Spark)."""
-    trav = traversals.sort_values(["d", "seq"], kind="stable")
-    trav = trav.assign(a=trav.groupby("d")["tt"].cumsum())
-    return _assemble(net, trav, partition_days=partition_days,
-                     backend=backend)
 
 
 def build_index_timed(spark: SparkSession, net: RoadNetwork,

@@ -126,11 +126,6 @@ class SNTIndex:
         return TravelTimeResult(xs, rung=at[0])
 
     # -- estimator support ------------------------------------------------
-    def tod_selectivity(self, e: int, interval: Interval) -> float:
-        """Eq. 2 for one window: the one-rung case of
-        :meth:`tod_selectivities`."""
-        return self.tod_selectivities(e, [interval])[0]
-
     def tod_selectivities(self, e: int,
                           rungs: list[Interval]) -> list[float]:
         """Eq. 2 per window: fraction of segment entries inside it.

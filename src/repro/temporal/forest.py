@@ -4,10 +4,10 @@ For every network segment ``e`` the forest holds leaf records sorted by
 entry timestamp ``t``: ``t -> (isa, d, row)`` (sec. 4.1.3, Fig. 4).
 The paper's extended leaf also holds ``TT`` and the running TT sum ``a``
 through this segment; here both are stored once, in trajectory order
-(``TemporalForest.a``/``.tt``), at ``row``, the count of records of
-trajectories before ``d`` plus the record's ``seq``.  ``isa`` is global,
-so it also names the temporal partition that the paper's leaf stores
-(sec. 4.3.2).
+(``TemporalForest.a``/``.tt``): the forest is built from record columns
+in that order, and a leaf's ``row`` is its record's position there.
+``isa`` is global, so it also names the temporal partition that the
+paper's leaf stores (sec. 4.3.2).
 
 Periodic predicates repeat daily, so each segment also keeps a
 time-of-day sort order and a tree over it: a periodic window is one or
@@ -86,44 +86,37 @@ class SegmentLeaves:
 
 
 class TemporalForest:
-    """The forest F = {Phi_e | e in E}, built from the collected leaf table."""
+    """The forest F = {Phi_e | e in E}, built from the record columns."""
 
-    def __init__(self, leaf_table, backend: str = "css"):
-        """``leaf_table``: pandas DataFrame with columns
-        ``e, t, isa, d, tt, a, seq`` (any row order, ``seq`` dense)."""
-        self.backend = backend
+    def __init__(self, e: np.ndarray, t: np.ndarray, isa: np.ndarray,
+                 d: np.ndarray, tt: np.ndarray, a: np.ndarray, *,
+                 backend: str = "css"):
+        """One numpy column per record field, records in trajectory order
+        (by ``d``, then along the trip), so a record's row is its
+        position; ``a`` and ``tt`` are kept as given."""
         self.segments: dict[int, SegmentLeaves] = {}
-        #: ``a`` and ``TT`` of every record in (d, seq) order; a leaf's
+        #: ``a`` and ``TT`` of every record in trajectory order; a leaf's
         #: ``row`` indexes both
-        self.a = np.empty(0)
-        self.tt = np.empty(0)
-        if len(leaf_table) == 0:
+        self.a = a
+        self.tt = tt
+        if len(e) == 0:
             return
-        # rows in (e, t) order, ties in input order: a stable sort by t,
+        # rows in (e, t) order, ties in row order: a stable sort by t,
         # then a stable sort of that order by e
-        e_in = leaf_table["e"].to_numpy()
-        o = np.argsort(leaf_table["t"].to_numpy(), kind="stable")
-        o = o[np.argsort(e_in[o], kind="stable")]
-        e_arr = e_in[o]
-        cols = {c: leaf_table[c].to_numpy()[o]
-                for c in ("t", "isa", "d", "tt", "a", "seq")}
-        d = cols["d"].astype(np.int64)
-        first = np.concatenate(([0], np.cumsum(np.bincount(d))))
-        row = first[d] + cols["seq"]
-        self.a = np.empty(len(row))
-        self.a[row] = cols["a"]
-        self.tt = np.empty(len(row))
-        self.tt[row] = cols["tt"]
+        o = np.argsort(t, kind="stable")
+        o = o[np.argsort(e[o], kind="stable")]
+        e_arr = e[o]
+        cols = {"t": t[o], "isa": isa[o], "d": d[o]}
         starts = np.flatnonzero(np.r_[True, e_arr[1:] != e_arr[:-1]])
         bounds = np.append(starts, len(e_arr))
-        for i, e in enumerate(e_arr[starts]):
+        for i, seg in enumerate(e_arr[starts]):
             sl = slice(int(bounds[i]), int(bounds[i + 1]))
             # copies that own their bytes: a slice would keep the column alive
-            self.segments[int(e)] = SegmentLeaves(
+            self.segments[int(seg)] = SegmentLeaves(
                 t=cols["t"][sl].astype(np.float64),
                 isa=cols["isa"][sl].astype(np.int64),
                 d=cols["d"][sl].astype(np.int64),
-                row=row[sl].astype(np.int64),
+                row=o[sl].astype(np.int64),
                 backend=backend,
             )
 

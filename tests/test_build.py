@@ -1,4 +1,5 @@
-"""Spark index construction vs the pandas twin; temporal partitioning."""
+"""Spark-built index vs the same assembly from a pandas table; temporal
+partitioning; the collected plan; input checks."""
 import numpy as np
 import pytest
 # a local session's DataFrame: pyspark 4 defines toPandas on this class
@@ -74,11 +75,11 @@ def test_same_path_counts(both_indexes):
 def test_same_forest_contents(both_indexes):
     for days, si, li in both_indexes[2]:
         assert sorted(si.forest.segments) == sorted(li.forest.segments)
-        assert np.allclose(si.forest.tt, li.forest.tt)
-        assert np.allclose(si.forest.a, li.forest.a)
-        for e in sorted(si.forest.segments)[:30]:
+        assert np.array_equal(si.forest.tt, li.forest.tt), days
+        assert np.array_equal(si.forest.a, li.forest.a), days
+        for e in sorted(si.forest.segments):
             a, b = si.forest.segments[e], li.forest.segments[e]
-            assert np.allclose(a.t, b.t)
+            assert np.array_equal(a.t, b.t), (days, e)
             assert np.array_equal(a.d, b.d), (days, e)
             assert np.array_equal(a.row, b.row), (days, e)
             assert np.array_equal(a.isa, b.isa), (days, e)
@@ -116,13 +117,25 @@ def test_same_query_answers(both_indexes):
     ivl = periodic(8 * 3600 - 900, 8 * 3600 + 900)
     for days, si, li in both_indexes[2]:
         for e in sorted(si.forest.segments)[:20]:
-            # summation order differs (Spark window sum vs pandas cumsum)
-            assert sorted(si.get_travel_times([e], ivl).xs) == \
-                pytest.approx(sorted(li.get_travel_times([e], ivl).xs))
+            assert si.get_travel_times([e], ivl).xs == \
+                li.get_travel_times([e], ivl).xs, (days, e)
 
 
-def test_running_aggregate_a(both_indexes):
-    """a = cumulative TT within the trajectory (paper sec. 4.1.3)."""
+def _running_sums(trav):
+    """``acc += tt`` along each trajectory of ``trav``, in (d, seq) order."""
+    out = []
+    for _, trip in trav.sort_values(["d", "seq"]).groupby("d", sort=True):
+        acc = 0.0
+        for x in trip["tt"]:
+            acc += x
+            out.append(acc)
+    return out
+
+
+def test_running_aggregate_a(both_indexes, small_net, small_traversals):
+    """a = cumulative TT within the trajectory (paper sec. 4.1.3), summed
+    left to right: equal to a Python ``acc += tt`` loop on every record,
+    which pandas' grouped cumsum is not."""
     _, trav, builds = both_indexes
     pdf = trav.toPandas().sort_values(["d", "seq"])
     one = pdf[pdf["d"] == pdf["d"].iloc[0]]
@@ -132,14 +145,20 @@ def test_running_aggregate_a(both_indexes):
         rows = np.flatnonzero(_records(f)[1] == one["d"].iloc[0])
         assert rows.tolist() == list(range(rows[0], rows[0] + len(one)))
         assert f.tt[rows].tolist() == one["tt"].tolist()
-        assert f.a[rows] == pytest.approx(one["tt"].cumsum().to_numpy())
-        assert f.a[rows[-1]] == pytest.approx(one["tt"].sum())
+        assert f.a[rows].tolist() == _running_sums(one)
+    trav = small_traversals.sort_values(["d", "seq"])
+    want = _running_sums(trav)
+    f = build_index_local(small_net, small_traversals).forest
+    assert f.tt.tolist() == trav["tt"].tolist()
+    assert f.a.tolist() == want
+    assert (trav.groupby("d")["tt"].cumsum().to_numpy() != want).any()
 
 
-def test_dataflow_is_one_window_stage(spark, spark_dataset, monkeypatch):
-    """The build collects one Window over the traversals: partitions and
-    string offsets are the driver's, so the plan has no join and no
-    aggregate."""
+def test_collected_plan_has_no_shuffle(spark, spark_dataset, monkeypatch):
+    """The build collects the traversal columns as they are: partitions,
+    string offsets and the running sum ``a`` are the driver's, so above
+    the scan of the cached traversals the plan has no window, exchange,
+    sort, join or aggregate."""
     net, trav = spark_dataset
     plans, collect = [], DataFrame.toPandas
 
@@ -150,8 +169,23 @@ def test_dataflow_is_one_window_stage(spark, spark_dataset, monkeypatch):
     monkeypatch.setattr(DataFrame, "toPandas", spy)
     build_index(spark, net, trav, partition_days=90)
     plan, = plans
-    assert plan.count("Window [") == 1, plan
-    assert "Join" not in plan and "Aggregate" not in plan, plan
+    # the cached generator plan beneath the scan has its own exchange
+    above = plan[:plan.index("InMemoryTableScan")]
+    for op in ("Window", "Exchange", "Sort", "Join", "Aggregate"):
+        assert op not in above, plan
+
+
+@pytest.mark.parametrize("seq", [[0, 1, 3], [0, 1, 1]],
+                         ids=["gap", "duplicate"])
+def test_non_dense_seq_is_rejected(paper_net, paper_traversals, seq):
+    """The layout puts record ``seq`` at ``offset[d] + seq``: a gap would
+    overwrite the trajectory's ``$`` and a duplicate a symbol, so either
+    is an error that names the trajectory."""
+    trav = paper_traversals.copy()
+    at = np.flatnonzero(trav["d"] == 2)
+    trav.loc[at, "seq"] = seq
+    with pytest.raises(ValueError, match="trajectory 2"):
+        build_index_local(paper_net, trav)
 
 
 def test_temporal_partitioning_counts_sum(spark, spark_dataset):

@@ -106,8 +106,8 @@ def test_acc_partitioned_scan_equals_full(small_net, small_traversals):
     assert part.n_partitions > 1
     seg = next(iter(full.forest.segments))
     ivl = periodic(7 * 3600, 9 * 3600)
-    assert part.tod_selectivity(seg, ivl) == pytest.approx(
-        full.tod_selectivity(seg, ivl))
+    assert part.tod_selectivities(seg, [ivl])[0] == pytest.approx(
+        full.tod_selectivities(seg, [ivl])[0])
 
 
 @pytest.mark.parametrize("mode", ESTIMATOR_MODES)

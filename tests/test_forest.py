@@ -45,6 +45,15 @@ def test_periodic_midnight_wrap():
     assert sorted(lv.t[idx]) == [23.9 * 3600, DAY + 0.05 * 3600]
 
 
+def forest_of(table, backend="css"):
+    """The forest over a leaf table with columns ``e, t, isa, d, tt, a,
+    seq`` in any row order: its records go in in (d, seq) order."""
+    tbl = table.sort_values(["d", "seq"], kind="stable")
+    return TemporalForest(*(tbl[c].to_numpy() for c in
+                            ("e", "t", "isa", "d", "tt", "a")),
+                          backend=backend)
+
+
 def make_forest(backend="css"):
     # two trajectories traversing segments 1 -> 2; one lone traversal of 2
     rows = [
@@ -57,7 +66,7 @@ def make_forest(backend="css"):
     ]
     pdf = pd.DataFrame(rows, columns=["e", "t", "isa", "d", "tt", "a",
                                       "seq"])
-    return TemporalForest(pdf, backend=backend)
+    return forest_of(pdf, backend)
 
 
 def test_trajectory_ordered_aggregates():
@@ -130,8 +139,8 @@ def test_periodic_beta_truncation_takes_time_of_day_order():
     """
     rows = [(1, 8 * 3600 + 1200.0, 0, 0, 5.0, 5.0, 0),
             (1, DAY + 8 * 3600 + 300.0, 1, 1, 7.0, 7.0, 0)]
-    f = TemporalForest(pd.DataFrame(rows, columns=["e", "t", "isa", "d",
-                                                   "tt", "a", "seq"]))
+    f = forest_of(pd.DataFrame(rows, columns=["e", "t", "isa", "d", "tt",
+                                              "a", "seq"]))
     ranges = np.array([[0, 2]])
     window = periodic(8 * 3600, 8.5 * 3600)
     assert f.build_map(1, ranges, window, None, None, None).tolist() == [1, 0]
@@ -151,7 +160,7 @@ def test_partition_aware_isa_ranges():
     ]
     pdf = pd.DataFrame(rows, columns=["e", "t", "isa", "d", "tt", "a",
                                       "seq"])
-    f = TemporalForest(pdf)
+    f = forest_of(pdf)
     # partition 0 matches local isa 4, partition 1 nothing: its empty
     # range sits at local 4 too
     ranges = np.array([[4, 5], [14, 14]])
@@ -199,7 +208,7 @@ def test_global_isa_mask_equals_per_partition_rule(strings, paths):
     table = pd.DataFrame({"e": flat[pos], "t": np.arange(len(pos)) * 1.0,
                           "isa": fm.isa[pos], "d": d, "tt": 1.0, "a": 1.0,
                           "seq": seq})
-    f = TemporalForest(table)
+    f = forest_of(table)
     local = fm.isa[pos] - fm.span[0, w]
     for p in paths:
         ranges = fm.isa_ranges(p)
@@ -208,7 +217,8 @@ def test_global_isa_mask_equals_per_partition_rule(strings, paths):
         starts = np.array([list(flat[i:i + len(p)]) == p for i in pos])
         assert np.array_equal(old, starts)
         got = f.build_map(p[0], ranges, fixed(0, len(pos)), None, None, None)
-        # row = first[d] + seq is the leaf's index in position order
+        # a leaf's row, its index in (d, seq) order, is its index in
+        # position order
         assert got.tolist() == np.flatnonzero(old).tolist()
 
 
@@ -222,8 +232,8 @@ def test_memory_report():
 
 
 def test_empty_forest():
-    f = TemporalForest(pd.DataFrame(columns=["e", "t", "isa", "d", "tt",
-                                             "a", "seq"]))
+    f = forest_of(pd.DataFrame(columns=["e", "t", "isa", "d", "tt", "a",
+                                        "seq"]))
     assert f.get(1) is None
     assert f.memory_report()["Forest"] == 0
     m = f.build_map(1, np.array([[0, 10]]), fixed(0, 1e9), None, None, None)
@@ -245,7 +255,7 @@ def _bound_forest(ladders, backend):
     d = np.arange(n)
     rows = pd.DataFrame({"e": 1, "t": ts, "isa": d + n * (d % 2), "d": d,
                          "tt": 1.0, "a": 1.0, "seq": 0})
-    return TemporalForest(rows, backend=backend), n
+    return forest_of(rows, backend), n
 
 
 @pytest.mark.parametrize("backend", ["css", "bt"])
@@ -369,15 +379,17 @@ def _tied_leaf_table(seed=4):
 
 @pytest.mark.parametrize("backend", ["css", "bt"])
 def test_tie_order_equals_pandas_stable_sort(backend):
-    """Leaves with equal (e, t) keep their input row order, as the pandas
-    ``sort_values(["e", "t"], kind="stable")`` the forest once used."""
+    """Leaves with equal (e, t) keep their trajectory order, as the pandas
+    ``sort_values(["e", "t"], kind="stable")`` of the (d, seq)-sorted
+    table that the forest once used."""
     table = _tied_leaf_table()
     dup = table.duplicated(["e", "t"], keep=False)
     assert dup.sum() > 300  # most leaves share their (e, t) with another
     assert (table.groupby("e")["t"].apply(
         lambda t: (t % DAY).nunique() < t.nunique())).all()
-    f = TemporalForest(table, backend=backend)
-    segments, a, tt = _pandas_reference(table, backend)
+    f = forest_of(table, backend)
+    segments, a, tt = _pandas_reference(
+        table.sort_values(["d", "seq"], kind="stable"), backend)
     assert sorted(f.segments) == sorted(segments) == [1, 2, 3, 4, 5]
     for e, ref in segments.items():
         got = f.segments[e]
@@ -391,6 +403,6 @@ def test_tie_order_equals_pandas_stable_sort(backend):
         assert got.nbytes() == ref.nbytes()
     for g, r in ((f.a, a), (f.tt, tt)):
         assert g.dtype == r.dtype and np.array_equal(g, r)
-    ref_forest = TemporalForest(table.iloc[:0], backend=backend)
+    ref_forest = forest_of(table.iloc[:0], backend)
     ref_forest.segments, ref_forest.a, ref_forest.tt = segments, a, tt
     assert f.memory_report() == ref_forest.memory_report()

@@ -68,14 +68,11 @@ def test_layout_independent_of_row_order(paper_net, paper_traversals,
     """Spark collects rows in no fixed order; the index must not depend on
     it.  The example has an (e, t) tie (E at t = 12 in tr1 and tr3), so
     the forest's order of tied leaves is checked too."""
-    from repro.index.build import LEAF_COLUMNS, _assemble, build_index_local
+    from repro.index.build import build_index_local
     rev = paper_traversals.iloc[::-1].reset_index(drop=True)
-    leaves = paper_traversals.sort_values(["d", "seq"])
-    leaves = leaves.assign(a=leaves.groupby("d")["tt"].cumsum())
-    shuffled = leaves[LEAF_COLUMNS].sample(frac=1.0, random_state=5)
+    shuffled = paper_traversals.sample(frac=1.0, random_state=5)
     for idx in (build_index_local(paper_net, rev),
-                _assemble(paper_net, shuffled, partition_days=None,
-                          backend="css")):
+                build_index_local(paper_net, shuffled)):
         assert _read_string(idx) == "ABE$ACDE$ABF$ABE$"
         for name in ("occ", "span", "D", "B"):
             assert np.array_equal(getattr(idx.fms[0], name),

@@ -185,34 +185,34 @@ def test_tod_selectivity_equals_partition_walk(small_net, small_traversals):
               if rng.random() < 0.5 else float(rng.uniform(0, DAY)))
         size = float(rng.choice([0, 300, 600, 3600, 20000, DAY - 1, DAY]))
         ivl = periodic(ts, ts + size)
-        assert idx.tod_selectivity(e, ivl) == \
+        assert idx.tod_selectivities(e, [ivl])[0] == \
             _tod_selectivity_by_partition(idx, e, ivl)
 
 
 def test_tod_selectivity_full_day_is_one(paper_index):
-    assert paper_index.tod_selectivity(A, periodic(0, DAY)) == \
+    assert paper_index.tod_selectivities(A, [periodic(0, DAY)])[0] == \
         pytest.approx(1.0)
 
 
 def test_tod_selectivity_concentrated(paper_index):
     # all example timestamps are within the first ToD bucket
-    sel = paper_index.tod_selectivity(A, periodic(0, 600))
+    sel = paper_index.tod_selectivities(A, [periodic(0, 600)])[0]
     assert sel == pytest.approx(1.0)
-    sel = paper_index.tod_selectivity(A, periodic(40000, 40600))
+    sel = paper_index.tod_selectivities(A, [periodic(40000, 40600)])[0]
     assert sel == 0.0
     # the second bucket: the first bucket's prefix sum is subtracted
-    assert paper_index.tod_selectivity(A, periodic(600, 1200)) == 0.0
+    assert paper_index.tod_selectivities(A, [periodic(600, 1200)])[0] == 0.0
 
 
 def test_tod_selectivity_unknown_segment_uses_uniform(paper_index):
-    sel = paper_index.tod_selectivity(999, periodic(0, DAY / 4))
+    sel = paper_index.tod_selectivities(999, [periodic(0, DAY / 4)])[0]
     assert sel == pytest.approx(0.25)
 
 
 @pytest.mark.parametrize("e", [-2, -1, 0, 7])
 def test_tod_selectivity_non_edge_ids_use_uniform(paper_index, e):
     # -2 must not wrap to the last segment's rows; 0 is $; |Σ| = 7
-    sel = paper_index.tod_selectivity(e, periodic(0, DAY / 4))
+    sel = paper_index.tod_selectivities(e, [periodic(0, DAY / 4)])[0]
     assert sel == 0.25
 
 
