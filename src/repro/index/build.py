@@ -19,6 +19,12 @@ built over the W strings, each leaf's global ISA value (which names its
 partition) is read back by position, and the forest (over the records
 in their ``(d, seq)`` order), the U map and the ToD histogram store are
 constructed.
+
+The leaf ``isa``, ``d`` and ``row``, the time-of-day orders, the ToD
+store and the U map are int32.  Before any of them is built,
+:func:`check_int32` raises ``ValueError`` when the record count, the
+largest ``d`` or ``u``, or the string length (which bounds ``isa`` and
+``row``) exceeds 2**31 - 1; nothing wraps.
 """
 from __future__ import annotations
 
@@ -33,6 +39,18 @@ from repro.fmindex.fm import FMIndex
 from repro.index.snt import TOD_BUCKET, SNTIndex
 from repro.network.graph import RoadNetwork
 from repro.temporal.forest import TemporalForest
+
+#: Largest value of the index's int32 arrays.
+INT32_MAX = int(np.iinfo(np.int32).max)
+
+
+def check_int32(what: str, n: int) -> None:
+    """Raise ``ValueError`` if ``n`` exceeds :data:`INT32_MAX`, so that
+    the int32 index arrays it bounds would wrap."""
+    n = int(n)  # Python ints do not wrap
+    if n > INT32_MAX:
+        raise ValueError(f"{what} {n} exceeds {INT32_MAX}, the bound of "
+                         "the index's int32 arrays")
 
 
 def build_index(spark: SparkSession, net: RoadNetwork, traversals: DataFrame,
@@ -54,6 +72,9 @@ def build_index_local(net: RoadNetwork, traversals: pd.DataFrame, *,
     """Driver-side assembly from a pandas traversal table (any row order):
     string layout -> FM-index -> ISA -> forest/U/ToD."""
     alphabet = net.n_edges + 1
+    check_int32("record count", len(traversals))
+    for c in ("d", "u"):
+        check_int32(f"largest {c}", traversals[c].to_numpy().max())
     # rows in (d, seq) order, as the forest keeps (e, t) ties in row
     # order; one packed key, which the collected runs make cheap to sort
     d = traversals["d"].to_numpy(dtype=np.int64)
@@ -70,6 +91,7 @@ def build_index_local(net: RoadNetwork, traversals: pd.DataFrame, *,
     ids = np.flatnonzero(n_rec)
     lens = n_rec[ids]
     head = np.cumsum(lens) - lens
+    check_int32("string length", len(d) + len(ids))  # one $ per trajectory
     # the layout and the running sum read seq as the position in the trip
     bad = np.flatnonzero(seq != np.arange(len(d)) - np.repeat(head, lens))
     if len(bad):
@@ -102,7 +124,7 @@ def build_index_local(net: RoadNetwork, traversals: pd.DataFrame, *,
                             backend=backend)
     del fm.isa  # the served index keeps only the search tables + occ
 
-    user_of = np.full(len(off_of), -1, dtype=np.int64)
+    user_of = np.full(len(off_of), -1, dtype=np.int32)
     user_of[d] = col["u"]
 
     # ToD store: bucket counts per (e, w) pair with entries, as inclusive
@@ -118,7 +140,8 @@ def build_index_local(net: RoadNetwork, traversals: pd.DataFrame, *,
     n_rows = int(row[-1]) + 1
     counts = np.bincount(row[pair] * n_buckets + bucket,
                          minlength=n_rows * n_buckets)
-    tod_hist = np.cumsum(counts.reshape(n_rows, n_buckets), axis=1)
+    tod_hist = np.cumsum(counts.reshape(n_rows, n_buckets), axis=1,
+                         dtype=np.int32)
     tod_first = np.append(0, np.cumsum(
         present.reshape(alphabet, n_part).sum(axis=1)))
 

@@ -55,10 +55,13 @@ class SNTIndex:
         #: list because perfbench reads ``index.fms``
         self.fms = [fm]
         self.forest = forest
+        #: U: ``user_of[d]`` is trajectory d's user (int32, -1 for an id
+        #: with no trajectory)
         self.user_of = user_of
-        #: ToD store: one row per (segment, partition) pair with entries,
-        #: in (e, w) order, of inclusive prefix sums of its bucket counts;
-        #: segment e's rows are ``tod_hist[tod_first[e]:tod_first[e + 1]]``
+        #: ToD store: one int32 row per (segment, partition) pair with
+        #: entries, in (e, w) order, of inclusive prefix sums of its bucket
+        #: counts; segment e's rows are
+        #: ``tod_hist[tod_first[e]:tod_first[e + 1]]``
         self.tod_hist = tod_hist
         self.tod_first = tod_first
         self.tmax = float(tmax)
@@ -186,8 +189,10 @@ class SNTIndex:
     def tod_store_bytes(self, h_seconds: float) -> int:
         """Fig. 10b: ToD-histogram store size at bucket width ``h_seconds``.
 
-        One dense array of ``ceil(DAY / h)`` 8-byte buckets per
-        (non-empty partition, segment) pair.
+        The store held, with ``ceil(DAY / h)`` buckets of
+        ``tod_hist.itemsize`` bytes in each (segment, partition) row, plus
+        ``tod_first``; at ``h = TOD_BUCKET`` it is ``memory_report()["ToD"]``.
         """
         n_buckets = int(np.ceil(DAY / h_seconds))
-        return len(self.tod_hist) * (n_buckets * 8 + 16)
+        return (len(self.tod_hist) * n_buckets * self.tod_hist.itemsize +
+                int(self.tod_first.nbytes))

@@ -7,7 +7,11 @@ through this segment; here both are stored once, in trajectory order
 (``TemporalForest.a``/``.tt``): the forest is built from record columns
 in that order, and a leaf's ``row`` is its record's position there.
 ``isa`` is global, so it also names the temporal partition that the
-paper's leaf stores (sec. 4.3.2).
+paper's leaf stores (sec. 4.3.2).  ``t`` is float64; ``isa``, ``d``,
+``row`` and the time-of-day order are int32, whose bounds the build
+checks (``repro.index.build``).  The int32 arrays that index others
+are widened to ``intp`` once per scan: the candidate positions and the
+rows :meth:`TemporalForest.build_map` returns.
 
 Periodic predicates repeat daily, so each segment also keeps a
 time-of-day sort order and a tree over it: a periodic window is one or
@@ -37,13 +41,14 @@ from repro.core.intervals import DAY, Interval
 from repro.temporal.btree import BPlusTree
 from repro.temporal.csstree import CSSTree
 
-_NO_ROWS = np.empty(0, dtype=np.int64)
+_NO_ROWS = np.empty(0, dtype=np.intp)
 _NO_ROWS.flags.writeable = False
 
 
 @dataclass
 class SegmentLeaves:
-    """Leaf arrays of one segment's temporal index (t-ascending)."""
+    """Leaf arrays of one segment's temporal index (t-ascending): ``t``
+    float64, ``isa``, ``d``, ``row`` and ``tod_order`` int32."""
 
     t: np.ndarray
     isa: np.ndarray
@@ -54,7 +59,7 @@ class SegmentLeaves:
 
     def __post_init__(self) -> None:
         tod = self.t % DAY
-        self.tod_order = np.argsort(tod, kind="stable").astype(np.int64)
+        self.tod_order = np.argsort(tod, kind="stable").astype(np.int32)
         tree_cls = CSSTree if self.backend == "css" else BPlusTree
         self.t_tree = tree_cls(self.t)
         self.tod_tree = tree_cls(tod[self.tod_order])
@@ -63,15 +68,16 @@ class SegmentLeaves:
         return len(self.t)
 
     def candidates(self, interval: Interval) -> np.ndarray:
-        """Leaf row indices matching the temporal predicate, in scan order."""
+        """Leaf positions (``intp``) matching the temporal predicate, in
+        scan order."""
         if not interval.periodic:
             lo, hi = self.t_tree.range_indices(interval.ts, interval.te)
-            return np.arange(lo, hi, dtype=np.int64)
+            return np.arange(lo, hi, dtype=np.intp)
         parts = []
         for lo_v, hi_v in interval.tod_ranges():
             lo, hi = self.tod_tree.range_indices(lo_v, hi_v)
             parts.append(self.tod_order[lo:hi])
-        return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+        return np.concatenate(parts, dtype=np.intp) if parts else _NO_ROWS
 
     def nbytes(self) -> tuple[int, int]:
         """(leaf array bytes, tree/auxiliary bytes) for the memory report."""
@@ -93,7 +99,8 @@ class TemporalForest:
                  backend: str = "css"):
         """One numpy column per record field, records in trajectory order
         (by ``d``, then along the trip), so a record's row is its
-        position; ``a`` and ``tt`` are kept as given."""
+        position; ``a`` and ``tt`` are kept as given.  ``isa``, ``d`` and
+        the rows are stored as int32: the caller keeps them below 2**31."""
         self.segments: dict[int, SegmentLeaves] = {}
         #: ``a`` and ``TT`` of every record in trajectory order; a leaf's
         #: ``row`` indexes both
@@ -106,19 +113,19 @@ class TemporalForest:
         o = np.argsort(t, kind="stable")
         o = o[np.argsort(e[o], kind="stable")]
         e_arr = e[o]
-        cols = {"t": t[o], "isa": isa[o], "d": d[o]}
+        # each leaf column is cast once, before the per-segment split
+        cols = {"t": t[o].astype(np.float64, copy=False),
+                "isa": isa[o].astype(np.int32),
+                "d": d[o].astype(np.int32),
+                "row": o.astype(np.int32)}
         starts = np.flatnonzero(np.r_[True, e_arr[1:] != e_arr[:-1]])
         bounds = np.append(starts, len(e_arr))
         for i, seg in enumerate(e_arr[starts]):
             sl = slice(int(bounds[i]), int(bounds[i + 1]))
             # copies that own their bytes: a slice would keep the column alive
             self.segments[int(seg)] = SegmentLeaves(
-                t=cols["t"][sl].astype(np.float64),
-                isa=cols["isa"][sl].astype(np.int64),
-                d=cols["d"][sl].astype(np.int64),
-                row=o[sl].astype(np.int64),
-                backend=backend,
-            )
+                **{k: c[sl].copy() for k, c in cols.items()},
+                backend=backend)
 
     def get(self, e: int) -> SegmentLeaves | None:
         """Phi_e, or None if no trajectory ever traversed ``e``."""
@@ -131,7 +138,8 @@ class TemporalForest:
                   timeframe: tuple[float, float] | None = None,
                   rungs: list[Interval] | None = None,
                   answered: list[int] | None = None) -> np.ndarray:
-        """Procedure 3: the leaf ``row`` of each of the first matches.
+        """Procedure 3: the leaf ``row`` of each of the first matches, as
+        ``intp``.
 
         ``ranges_by_w`` holds the W disjoint, ascending ISA ranges of
         :meth:`FMIndex.isa_ranges`; a leaf matches the spatial predicate
@@ -182,7 +190,7 @@ class TemporalForest:
             answered[0] = k
         if beta is not None:
             sel = sel[:beta]
-        return leaves.row[sel]
+        return leaves.row[sel].astype(np.intp)
 
     def probe_map(self, e_last: int, path_len: int,
                   m: np.ndarray) -> list[float]:

@@ -227,8 +227,10 @@ def test_memory_report():
     rep = f.memory_report()
     assert rep["Forest"] == rep["leaves"] + rep["trees"] > 0
     per_seg = sum(seg.nbytes()[0] for seg in f.segments.values())
-    assert rep["leaves"] == per_seg + (5 + 5) * 8  # a, tt
-    assert per_seg == 5 * 4 * 8  # t, isa, d, row
+    assert rep["leaves"] == per_seg + 5 * (f.a.itemsize + f.tt.itemsize)
+    lv = f.get(1)
+    assert per_seg == 5 * sum(getattr(lv, k).itemsize
+                              for k in ("t", "isa", "d", "row"))
 
 
 def test_empty_forest():
@@ -338,9 +340,9 @@ def _pandas_reference(table, backend):
         sl = slice(int(bounds[i]), int(bounds[i + 1]))
         segments[int(e)] = SegmentLeaves(
             t=cols["t"][sl].astype(np.float64),
-            isa=cols["isa"][sl].astype(np.int64),
-            d=cols["d"][sl].astype(np.int64),
-            row=row[sl].astype(np.int64),
+            isa=cols["isa"][sl].astype(np.int32),
+            d=cols["d"][sl].astype(np.int32),
+            row=row[sl].astype(np.int32),
             backend=backend)
     return segments, a, tt
 

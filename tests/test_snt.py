@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from repro.core.intervals import DAY, fixed, periodic
+from repro.index.snt import TOD_BUCKET
 from tests.conftest import A, B, C, E, U1, leaf_partition
 
 
@@ -126,7 +127,9 @@ def test_tod_store_per_partition(paper_index):
     assert paper_index.tod_hist.shape == (6, 144)
     assert paper_index.tod_first.tolist() == [0, 0, 1, 2, 3, 4, 5, 6]
     assert paper_index.tod_hist[paper_index.tod_first[A], -1] == 4
-    assert paper_index.memory_report()["ToD"] == 6 * 144 * 8 + 8 * 8
+    assert paper_index.memory_report()["ToD"] == (
+        6 * 144 * paper_index.tod_hist.itemsize +
+        8 * paper_index.tod_first.itemsize)
 
 
 def test_tod_store_matches_leaf_loop(small_net, small_traversals):
@@ -231,6 +234,20 @@ def test_tod_store_bytes_scales_with_bucket_width(paper_index):
     b10 = paper_index.tod_store_bytes(600.0)
     assert b1 > b10 > 0
     assert b1 / b10 == pytest.approx(10.0, rel=0.2)
+
+
+@pytest.mark.parametrize("days", [None, 180])
+def test_tod_store_bytes_is_the_store_held(small_net, small_traversals,
+                                           days):
+    """At the store's own bucket width, Fig. 10b's size is the bytes the
+    index holds: rows x buckets x itemsize plus ``tod_first``."""
+    from repro.index.build import build_index_local
+    idx = build_index_local(small_net, small_traversals,
+                            partition_days=days)
+    assert idx.tod_store_bytes(TOD_BUCKET) == idx.memory_report()["ToD"]
+    n_rows = len(idx.tod_hist)
+    assert idx.tod_store_bytes(60.0) == (
+        n_rows * 1440 * idx.tod_hist.itemsize + idx.tod_first.nbytes)
 
 
 def test_tmax_covers_data(paper_index):
