@@ -7,8 +7,11 @@ structure 'WT', user map, forest, the ToD store held), the ToD-histogram
 store size for bucket widths 1/5/10 minutes, and wall-clock setup time.
 
 The first build in a fresh JVM is 1.5-2x slower than later ones, so one
-untimed FULL build warms the JVM, and each config's ``setup_s`` is the
-median of ``N_BUILDS`` builds (as in perfbench).
+untimed FULL build warms the JVM.  Each config's ``setup_s`` is the
+median of ``N_BUILDS`` builds, taken in ``N_BUILDS`` rounds that each
+build every config once, in turn: a shared host's speed drifts over a
+run, and back-to-back builds of one config would give that config one
+phase of the drift, so the configs' order would show in their times.
 
     python jobs/partitioning.py --sf 0.1 --out results/partitioning.csv
 """
@@ -21,7 +24,7 @@ from repro.session import get_spark
 
 CONFIGS = [("7", 7.0, "css"), ("30", 30.0, "css"), ("90", 90.0, "css"),
            ("365", 365.0, "css"), ("FULL", None, "css"), ("BT", None, "bt")]
-N_BUILDS = 3  # setup_s is the median of these builds
+N_BUILDS = 5  # rounds; setup_s is the median of a config's builds
 
 
 def main() -> None:
@@ -36,29 +39,34 @@ def main() -> None:
     print(f"[warm-up] FULL/css: setup={secs:.1f}s (not reported)",
           file=sys.stderr)
     rows = []
-    for label, days, backend in CONFIGS:
-        times = []
-        for _ in range(N_BUILDS):
+    times: dict[str, list[float]] = {label: [] for label, _, _ in CONFIGS}
+    for r in range(N_BUILDS):
+        for label, days, backend in CONFIGS:
             idx, secs = build_index_timed(spark, net, trav,
                                           partition_days=days,
                                           backend=backend)
-            times.append(secs)
-        secs = statistics.median(times)
-        rep = idx.memory_report()
-        mib = 1024 * 1024
-        rows.append({
-            "partition": label, "backend": backend,
-            "n_partitions": idx.n_partitions,
-            **{f"{k}_MiB": v / mib for k, v in rep.items()},
-            "hist_h1min_MiB": idx.tod_store_bytes(60.0) / mib,
-            "hist_h5min_MiB": idx.tod_store_bytes(300.0) / mib,
-            "hist_h10min_MiB": idx.tod_store_bytes(600.0) / mib,
-            "setup_s": secs,
-        })
-        print(f"[built] {label}/{backend}: W={idx.n_partitions} "
-              f"setup={secs:.1f}s (median of "
-              f"{', '.join(f'{t:.1f}' for t in times)})", file=sys.stderr)
-        del idx
+            times[label].append(secs)
+            if r == 0:  # the index is the same in every round
+                rep = idx.memory_report()
+                mib = 1024 * 1024
+                rows.append({
+                    "partition": label, "backend": backend,
+                    "n_partitions": idx.n_partitions,
+                    **{f"{k}_MiB": v / mib for k, v in rep.items()},
+                    "hist_h1min_MiB": idx.tod_store_bytes(60.0) / mib,
+                    "hist_h5min_MiB": idx.tod_store_bytes(300.0) / mib,
+                    "hist_h10min_MiB": idx.tod_store_bytes(600.0) / mib,
+                })
+            print(f"[built] round {r + 1}/{N_BUILDS} {label}/{backend}: "
+                  f"W={idx.n_partitions} setup={secs:.2f}s",
+                  file=sys.stderr)
+            del idx
+    for row in rows:
+        ts = times[row["partition"]]
+        row["setup_s"] = statistics.median(ts)
+        print(f"[setup] {row['partition']}/{row['backend']}: median "
+              f"{row['setup_s']:.2f}s of {', '.join(f'{t:.2f}' for t in ts)}",
+              file=sys.stderr)
     print_table(rows, "Figure 10: temporal partitioning")
     save_csv(rows, args.out)
     spark.stop()

@@ -23,10 +23,11 @@ and the count let through, with the samples a scan of that rung alone
 returns, so the answers are those of estimating, widening and
 rescanning one rung at a time.  A ladder that no rung answers, or whose
 rungs the estimator all turns away (then without a scan), is relaxed
-from its widest rung (split, drop f, fixed fallback).  Each
-query searches a path's ISA ranges once and reuses them for scans,
-estimates and sigma_L probes.  A path holding an id that is not an
-edge is rejected before partitioning.
+from its widest rung (split, drop f, fixed fallback).  Each query
+searches a path's ISA ranges once and reuses them for scans, estimates
+and sigma_L probes; it also builds each window's widening ladder once,
+so the two halves of a split share theirs.  A path holding an id that
+is not an edge is rejected before partitioning.
 
 The result carries per-sub-query samples and bookkeeping (final
 sub-path lengths, scan/estimate counters) so the harness can compute
@@ -41,7 +42,7 @@ import numpy as np
 
 from repro.core.cardinality import CardinalityEstimator
 from repro.core.histogram import Histogram, convolve_all
-from repro.core.intervals import shift_and_enlarge
+from repro.core.intervals import Interval, shift_and_enlarge
 from repro.core.partitioning import partition
 from repro.core.splitting import relax, widen_ladder
 from repro.core.spq import SPQ
@@ -109,6 +110,15 @@ def trip_query(index: SNTIndex, spq: SPQ, *, partition_method: str,
             r = isa[path] = index.isa_ranges(path)
         return r
 
+    ladders: dict[Interval, list[Interval]] = {}
+
+    def ladder_of(interval: Interval) -> list[Interval]:
+        """widen_ladder(interval), built once per query."""
+        lad = ladders.get(interval)
+        if lad is None:
+            lad = ladders[interval] = widen_ladder(interval)
+        return lad
+
     def card(sub: SPQ) -> int:
         """|T^P| for sigma_L probes: estimator if configured, else exact."""
         r = ranges(sub.path)
@@ -136,8 +146,7 @@ def trip_query(index: SNTIndex, spq: SPQ, *, partition_method: str,
             shifted = True
         # every sigma widening is a rung of the ladder; a fixed window, a
         # window at alpha_max or a sub-query without beta is one rung
-        ladder = (widen_ladder(q.interval) if q.beta is not None
-                  else [q.interval])
+        ladder = ladder_of(q.interval) if q.beta is not None else [q.interval]
         estimated = (estimator is not None and q.beta is not None
                      and q.interval.periodic)
         admitted = range(len(ladder))  # the rungs the estimator admits

@@ -70,7 +70,13 @@ def build_index_local(net: RoadNetwork, traversals: pd.DataFrame, *,
                       partition_days: float | None = None,
                       backend: str = "css") -> SNTIndex:
     """Driver-side assembly from a pandas traversal table (any row order):
-    string layout -> FM-index -> ISA -> forest/U/ToD."""
+    string layout -> FM-index -> ISA -> forest/U/ToD.
+
+    Raises ``ValueError`` for an empty table: an index needs at least one
+    trajectory."""
+    if len(traversals) == 0:
+        raise ValueError("empty traversal table: an index needs at least "
+                         "one trajectory")
     alphabet = net.n_edges + 1
     check_int32("record count", len(traversals))
     for c in ("d", "u"):

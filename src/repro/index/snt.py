@@ -93,7 +93,8 @@ class SNTIndex:
 
         Mirrors Procedure 5: empty ISA range short-circuits without any
         temporal scan; for *periodic* intervals an under-beta map aborts
-        (the caller then relaxes the predicates); fixed-interval queries
+        (the caller then relaxes the predicates), and ``buildMap`` takes
+        that abort itself, returning no rows; fixed-interval queries
         return whatever matched; a data-less single segment falls back
         to ``estimateTT``.  A path holding an id that is not an edge of
         the network (edge ids are ``1..n_edges``) raises ``ValueError``:

@@ -15,6 +15,8 @@ selectivity (sec. 4.4).
 """
 from __future__ import annotations
 
+from bisect import bisect_left
+
 import numpy as np
 
 
@@ -38,33 +40,50 @@ class CSSTree:
             self.levels.append(level)
 
     def lower_bound(self, key: float) -> int:
-        """Index of the first key >= ``key`` via top-down node descent."""
-        n = len(self.keys)
-        if n == 0:
-            return 0
-        block = 0  # node index at the current level
-        for level in reversed(self.levels):
-            node = level[block * self.m: (block + 1) * self.m]
-            # first child whose max >= key; past-the-end -> stay right
-            child = int(np.searchsorted(node, key, side="left"))
-            if child >= len(node):
-                return n
-            block = block * self.m + child
-        lo = block * self.m
-        node = self.keys[lo: lo + self.m]
-        return min(n, lo + int(np.searchsorted(node, key, side="left")))
+        """Index of the first key >= ``key``: the one-key case of the
+        descent of :meth:`range_indices`."""
+        return self._descend(key, None)[0]
 
     def range_count(self, lo: float, hi: float) -> int:
-        """Exact number of keys in ``[lo, hi)`` — two descents."""
-        if hi <= lo:
-            return 0
-        return self.lower_bound(hi) - self.lower_bound(lo)
+        """Exact number of keys in ``[lo, hi)`` — one descent."""
+        lo_i, hi_i = self.range_indices(lo, hi)
+        return hi_i - lo_i
 
     def range_indices(self, lo: float, hi: float) -> tuple[int, int]:
         """Half-open index range of keys in ``[lo, hi)``."""
         if hi <= lo:
             return (0, 0)
-        return (self.lower_bound(lo), self.lower_bound(hi))
+        return self._descend(lo, hi)
+
+    def _descend(self, lo: float, hi: float | None) -> tuple[int, int]:
+        """Indices of the first keys >= ``lo`` and >= ``hi`` (``lo <=
+        hi``; ``hi=None`` descends ``lo`` alone) by one top-down descent
+        from the root to the key array.
+
+        At each level a bound's next node is ``node * m + child``, with
+        ``child`` the first entry >= the bound, found by binary search
+        within the node (``bisect`` over a memoryview, so each probe
+        reads one Python float).  While both bounds are in one node,
+        ``hi`` is searched only from ``lo``'s child on; below the node
+        where their paths part, each bound is searched in its own node.
+        A ``hi`` past the largest key is ``n`` without a descent.  A
+        ``lo`` past it runs off the end of each level (empty nodes), so
+        its index ends at ``>= n`` and is clamped to ``n``.
+        """
+        keys, m = self.keys, self.m
+        n = len(keys)
+        if hi is not None and (n == 0 or hi > keys[-1]):
+            hi = None
+        b_lo = b_hi = 0  # each bound's node index, then its child's
+        for level in (*reversed(self.levels), keys):
+            view, size = memoryview(level), len(level)
+            first = b_lo * m
+            c_lo = bisect_left(view, lo, first, min(first + m, size))
+            if hi is not None:
+                first = c_lo if b_hi == b_lo else b_hi * m
+                b_hi = bisect_left(view, hi, first, min(b_hi * m + m, size))
+            b_lo = c_lo
+        return (min(n, b_lo), n if hi is None else min(n, b_hi))
 
     def nbytes(self) -> int:
         """Directory bytes only — the key array belongs to the leaf store."""

@@ -188,6 +188,15 @@ def test_non_dense_seq_is_rejected(paper_net, paper_traversals, seq):
         build_index_local(paper_net, trav)
 
 
+@pytest.mark.parametrize("days", [None, 30], ids=["FULL", "30d"])
+def test_empty_table_is_rejected(paper_net, paper_traversals, days):
+    """No trajectory, no index: a named error, not numpy's reduction of
+    an empty array."""
+    with pytest.raises(ValueError, match="empty traversal table"):
+        build_index_local(paper_net, paper_traversals.iloc[:0],
+                          partition_days=days)
+
+
 def test_temporal_partitioning_counts_sum(spark, spark_dataset):
     net, trav = spark_dataset
     full = build_index(spark, net, trav)

@@ -1,4 +1,5 @@
-"""CSS-tree contract: lower_bound/range_count vs numpy searchsorted."""
+"""CSS-tree contract: lower_bound/range_count/range_indices vs numpy
+searchsorted."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -89,3 +90,56 @@ def test_levels_match_definition(m, k, delta):
         assert level.tolist() == [b.max() for b in blocks]
         below = level
     assert len(below) <= m
+
+
+@st.composite
+def _keys_and_bounds(draw):
+    """Ascending keys drawn from a small grid (so duplicates are common),
+    a node size, and two bounds each on a key, between keys or outside
+    the key range."""
+    keys = np.sort(np.array(draw(st.lists(
+        st.integers(0, 40), max_size=120)), dtype=float) / 2)
+    m = draw(st.sampled_from([2, 3, 16]))
+
+    def bound():
+        kind = draw(st.sampled_from(["key", "between", "outside"]))
+        if kind == "key" and len(keys):
+            return float(draw(st.sampled_from(keys.tolist())))
+        if kind == "between":
+            return draw(st.integers(-1, 41)) / 2 + 0.25
+        return draw(st.sampled_from([-5.0, 25.0, -np.inf, np.inf]))
+
+    return keys, m, bound(), bound()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_keys_and_bounds())
+def test_range_indices_is_two_searchsorteds(case):
+    """The joint descent of both bounds gives numpy's two searches, and
+    (0, 0) for an empty or inverted range, with or without a directory
+    (n <= m has none)."""
+    keys, m, lo, hi = case
+    t = CSSTree(keys, node_size=m)
+    assert (len(t.levels) == 0) == (len(keys) <= m)
+    want = ((0, 0) if hi <= lo else
+            (int(np.searchsorted(keys, lo)), int(np.searchsorted(keys, hi))))
+    assert t.range_indices(lo, hi) == want
+    assert t.range_count(lo, hi) == want[1] - want[0]
+    assert t.lower_bound(lo) == np.searchsorted(keys, lo)
+
+
+@pytest.mark.parametrize("m", [2, 3, 16])
+def test_range_indices_on_every_key_pair(m):
+    """Every pair of bounds on, between and around the keys of a short
+    array with runs of duplicates, deep enough for paths to part at
+    every level."""
+    keys = np.repeat(np.arange(20.0), [1, 3, 1, 2] * 5)
+    t = CSSTree(keys, node_size=m)
+    assert len(t.levels) >= (2 if m < 16 else 1)
+    probes = np.arange(-1.0, 21.0, 0.5)
+    for lo in probes:
+        for hi in probes:
+            want = ((0, 0) if hi <= lo else
+                    (int(np.searchsorted(keys, lo)),
+                     int(np.searchsorted(keys, hi))))
+            assert t.range_indices(lo, hi) == want, (lo, hi)

@@ -122,6 +122,60 @@ def test_buildmap_timeframe():
     assert m.tolist() == [2]
 
 
+def _six_trips_forest(backend):
+    """Segment 1 entered by trajectories d = 0..5 at 08:00 + 10 d s on
+    day d; ISA value d, user 1 for d < 3 and 2 for the rest."""
+    d = np.arange(6)
+    rows = pd.DataFrame({"e": 1, "t": d * DAY + 8 * 3600 + 10 * d,
+                         "isa": d, "d": d, "tt": 1.0, "a": 1.0, "seq": 0})
+    return forest_of(rows, backend), np.array([1, 1, 1, 2, 2, 2])
+
+
+class _Unread:
+    """ISA ranges that fail the test if the scan reads them."""
+
+    def ravel(self):
+        raise AssertionError("the spatial mask ran")
+
+
+@pytest.mark.parametrize("backend", ["css", "bt"])
+def test_periodic_beta_scan_aborts_below_beta(backend):
+    """A periodic scan with beta returns no rows, and names no rung, once
+    it cannot reach beta: with fewer than beta candidates (before any
+    mask), and with fewer than beta matches after the ISA, exclude_d and
+    user masks.  Fixed windows and beta = None keep their rows."""
+    f, users = _six_trips_forest(backend)
+    peak = periodic(7.5 * 3600, 8.5 * 3600)
+    narrow = periodic(8 * 3600, 8 * 3600 + 15)  # d = 0 and d = 1 only
+    all_isa = np.array([[0, 6]])
+
+    def scan(interval, beta, ranges=all_isa, **kw):
+        answered = [-1]
+        m = f.build_map(1, ranges, interval, kw.get("user"), beta, users,
+                        kw.get("exclude_d"), None, [interval], answered)
+        return m.tolist(), answered[0]
+
+    # fewer than beta candidates: no mask is computed
+    assert scan(peak, 7, _Unread()) == ([], -1)
+    assert scan(narrow, 3, _Unread()) == ([], -1)
+    # enough candidates, too few matches after each mask
+    assert scan(peak, 4, np.array([[0, 3]])) == ([], -1)
+    assert scan(peak, 4, np.array([[0, 4]]), exclude_d=0) == ([], -1)
+    assert scan(peak, 4, user=2) == ([], -1)
+    assert scan(peak, 3, np.array([[1, 6]]), user=1) == ([], -1)
+    # exactly beta matches answer
+    assert scan(peak, 3, np.array([[0, 4]]), exclude_d=0) == ([1, 2, 3], 0)
+    assert scan(peak, 3, user=2) == ([3, 4, 5], 0)
+    assert scan(narrow, 2) == ([0, 1], 0)
+    # a fixed window returns its partial rows, beta = None all of them
+    week = fixed(0, 10 * DAY)
+    assert scan(week, 7) == ([0, 1, 2, 3, 4, 5], 0)
+    assert scan(week, 4, np.array([[0, 4]]), exclude_d=0) == ([1, 2, 3], 0)
+    assert scan(peak, None, np.array([[0, 4]]), exclude_d=0) == \
+        ([1, 2, 3], 0)
+    assert scan(narrow, None, user=2) == ([], 0)
+
+
 def test_buildmap_missing_segment():
     f = make_forest()
     m = f.build_map(99, np.array([[0, 10]]), fixed(0, 1e9), None, None,
@@ -264,7 +318,8 @@ def _bound_forest(ladders, backend):
 def test_ladder_rows_are_answering_rungs_own_scan(backend):
     """A scan of a ladder's widest rung returns the rows, and names the
     rung, of a plain ``build_map`` of the first rung with ``beta``
-    matches (else the widest), for every run of consecutive rungs.  Leaves
+    matches, for every run of consecutive rungs; when no rung has
+    ``beta`` matches it returns no rows and names no rung.  Leaves
     sit exactly on the rung bounds: a rung's ``lo`` is inside it, its
     ``hi`` outside, midnight included."""
     from repro.core.splitting import widen_ladder
@@ -301,10 +356,13 @@ def test_ladder_rows_are_answering_rungs_own_scan(backend):
                 for beta in {1, 2, 7, 10 ** 6} | {len(p) + o for p in plain
                                                   for o in (0, 1)}:
                     k = next((k for k, p in enumerate(plain)
-                              if len(p) >= beta), len(rungs) - 1)
+                              if len(p) >= beta), None)
                     answered = [-1]
                     got = f.build_map(1, ranges, rungs[-1], None, beta,
                                       None, None, None, rungs, answered)
+                    if k is None:  # no rung reaches beta: the scan aborts
+                        assert got.tolist() == [] and answered == [-1]
+                        continue
                     assert got.tolist() == plain[k][:beta].tolist()
                     scanned = len(lv.candidates(rungs[-1])) > 0
                     assert answered[0] == (k if scanned else -1)

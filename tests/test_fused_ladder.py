@@ -10,7 +10,8 @@ generated queries over the small dataset, at W = 1 and W = 32, for
 every partitioning method, both split methods, with no estimator and
 with each estimator mode.  The queries include windows that wrap
 midnight and windows already at 120 min or more, before or after
-shift-and-enlarge.
+shift-and-enlarge, and periodic queries without ``beta``, which
+``relax`` widens one window at a time in both loops.
 """
 from collections import deque
 
@@ -20,6 +21,7 @@ import pytest
 from repro.core.cardinality import ESTIMATOR_MODES, CardinalityEstimator
 from repro.core.histogram import Histogram, convolve_all
 from repro.core.intervals import DAY, periodic, shift_and_enlarge
+import repro.core.query as query_mod
 from repro.core.partitioning import PARTITION_METHODS, partition
 from repro.core.query import trip_query
 from repro.core.splitting import SPLIT_METHODS, relax
@@ -74,7 +76,11 @@ def _stepwise(index, spq, partition_method, split_method, estimator,
 
 
 def _queries(traversals, n, seed):
-    """Generated SPQs over real trips: ``(spq, exclude_d)``."""
+    """Generated SPQs over real trips: ``(spq, exclude_d)``; ``n`` of them
+    have a ``beta``, and each of the first two kinds (windows below
+    120 min) also comes without one.  A periodic sub-query without
+    ``beta`` is a one-rung ladder, so when it finds no match ``relax``
+    widens it."""
     trav = traversals.sort_values(["d", "seq"])
     trips = [(int(d), int(g["u"].iloc[0]), g["e"].to_numpy(),
               g["t"].to_numpy()) for d, g in trav.groupby("d")
@@ -99,6 +105,8 @@ def _queries(traversals, n, seed):
                   user=u if i % 5 == 0 else None,
                   beta=int(rng.choice([2, 3, 5, 20])))
         out.append((spq, d if i % 2 == 0 else None))
+        if kind < 2:
+            out.append((spq.with_(beta=None), d if i % 2 == 0 else None))
     return out
 
 
@@ -115,10 +123,20 @@ def index(request, small_net, traversals):
 
 
 @pytest.mark.parametrize("mode", (None,) + ESTIMATOR_MODES)
-def test_fused_ladder_matches_stepwise(index, traversals, mode):
+def test_fused_ladder_matches_stepwise(index, traversals, mode, monkeypatch):
     est = CardinalityEstimator(index, mode) if mode else None
     queries = _queries(traversals, N_QUERIES, seed=7)
     wraps = big = 0
+    widened = []  # the sub-queries that trip_query's relax widened
+
+    def counting_relax(spq, *args):
+        out = relax(spq, *args)
+        if out[0].interval.periodic and \
+                out[0].interval.size > spq.interval.size:
+            widened.append(spq)
+        return out
+
+    monkeypatch.setattr(query_mod, "relax", counting_relax)
     for pm in PARTITION_METHODS:
         for sm in SPLIT_METHODS:
             for spq, xd in queries:
@@ -142,6 +160,9 @@ def test_fused_ladder_matches_stepwise(index, traversals, mode):
                         wraps += len(ivl.tod_ranges()) == 2
                         big += ivl.size >= 7200
     assert wraps > 0 and big > 0
+    # only a sub-query without beta is widened by relax; a ladder is
+    # relaxed from its widest rung
+    assert widened and all(q.beta is None for q in widened)
 
 
 
