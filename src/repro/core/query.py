@@ -25,9 +25,10 @@ rescanning one rung at a time.  A ladder that no rung answers, or whose
 rungs the estimator all turns away (then without a scan), is relaxed
 from its widest rung (split, drop f, fixed fallback).  Each query
 searches a path's ISA ranges once and reuses them for scans, estimates
-and sigma_L probes; it also builds each window's widening ladder once,
-so the two halves of a split share theirs.  A path holding an id that
-is not an edge is rejected before partitioning.
+and sigma_L probes.  It also builds each window's widening ladder once:
+the two halves of a split keep their parent's window, so half or more
+of the ladders a query asks for are ones it has already built.  A path
+holding an id that is not an edge is rejected before partitioning.
 
 The result carries per-sub-query samples and bookkeeping (final
 sub-path lengths, scan/estimate counters) so the harness can compute

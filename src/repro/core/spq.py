@@ -11,7 +11,7 @@ results with ground-truth sub-path durations after arbitrary splits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.core.intervals import Interval
 
@@ -39,16 +39,5 @@ class SPQ:
         return self.lo + len(self.path)
 
     def with_(self, **kw) -> "SPQ":
-        """Functional update helper: a copy with the fields in ``kw``
-        replaced.  An unknown field name raises ``TypeError``; the checks
-        of ``__post_init__`` run again when ``path`` or ``interval``
-        changes, the only fields they read."""
-        fields = self.__dict__
-        unknown = kw.keys() - fields.keys()
-        if unknown:
-            raise TypeError(f"SPQ has no field {sorted(unknown)[0]!r}")
-        new = object.__new__(type(self))
-        new.__dict__.update(fields, **kw)
-        if "path" in kw or "interval" in kw:
-            new.__post_init__()
-        return new
+        """Functional update helper."""
+        return replace(self, **kw)

@@ -30,12 +30,10 @@ so the scan aborts instead of finishing it.  Given a sigma widening
 ladder (nested periodic windows with one centre), one scan of the
 widest window holds the matches of every rung: a rung's matches are the
 scan's matches whose time of day lies in the rung's own
-``tod_ranges()``, in the rung's own scan order.  The matches come in
-time-of-day order within each in-day range of the scan, so one
-``searchsorted`` of all rung bounds per range gives every rung's
-matches as spans.  A match's ISA lies in the path's range, so
-its trajectory traverses the whole path from ``row``, and ``probeMap``
-(Procedure 4) is the gather ``a[row + |P| - 1] - (a[row] - TT[row])``.
+``tod_ranges()``, in the rung's own scan order.  A match's ISA lies
+in the path's range, so its trajectory traverses the whole path from
+``row``, and ``probeMap`` (Procedure 4) is the gather
+``a[row + |P| - 1] - (a[row] - TT[row])``.
 """
 from __future__ import annotations
 
@@ -95,36 +93,6 @@ class SegmentLeaves:
             # its key array is a ToD-ordered copy; t_tree's keys are ``t``
             aux += self.tod_tree.keys.nbytes
         return leaf, int(aux)
-
-
-def _first_rung(tod: np.ndarray, rungs: list[Interval],
-                beta: int) -> tuple[int, list[tuple[int, int]]] | None:
-    """The first of ``rungs`` with ``beta`` matches, and its matches as
-    ``[a, b)`` spans of a ladder scan's matches, in that scan's order;
-    ``None`` if no rung has ``beta`` matches.
-
-    ``tod`` is the time of day of each match of the scan.  The scan reads
-    each of its in-day ranges in time-of-day order, so ``tod`` is one or
-    two ascending runs.  Within a run, the matches with ``lo <= tod <
-    hi`` are one span, bounded by one ``searchsorted`` of every rung
-    bound (``#tod < v``).
-    """
-    cuts = [0, *(np.flatnonzero(tod[1:] < tod[:-1]) + 1).tolist(), len(tod)]
-    ranges = [rung.tod_ranges() for rung in rungs]
-    bounds = [v for rs in ranges for r in rs for v in r]
-    runs = [(a, tod[a:b].searchsorted(bounds).tolist())
-            for a, b in zip(cuts, cuts[1:]) if b > a]
-    i = 0
-    for k, rs in enumerate(ranges):
-        spans = []
-        for a, pos in runs:
-            spans += sorted((a + pos[j], a + pos[j + 1])
-                            for j in range(i, i + 2 * len(rs), 2)
-                            if pos[j + 1] > pos[j])
-        i += 2 * len(rs)
-        if sum(b - a for a, b in spans) >= beta:
-            return k, spans
-    return None
 
 
 class TemporalForest:
@@ -199,10 +167,9 @@ class TemporalForest:
         A rung's matches are the scan's matches whose time of day lies in
         the rung's ``tod_ranges()``, so the rows are the first ``beta``
         matches of the first rung that has ``beta`` of them: the rows a
-        scan of that rung alone returns.  The rungs below the widest are
-        counted in one pass (:func:`_first_rung`), with the scan's own
-        ``lo <= tod < hi`` bounds.  ``answered[0]`` receives that rung's
-        index in ``rungs``; a scan that returns early leaves it as it is.
+        scan of that rung alone returns.  ``answered[0]`` receives that
+        rung's index in ``rungs``; a scan that returns early leaves it as
+        it is.
         """
         if user is not None and user_of is None:
             raise ValueError("user predicate requires the U map")
@@ -222,17 +189,18 @@ class TemporalForest:
             sel = sel[(t >= timeframe[0]) & (t < timeframe[1])]
         if doomed and len(sel) < beta:
             return _NO_ROWS
-        k = 0
-        if rungs is not None and len(rungs) > 1:
-            # the widest rung holds every match; the first narrower one
-            # with beta matches answers, else the widest
-            hit = _first_rung(leaves.t[sel] % DAY, rungs[:-1], beta)
-            if hit is None:
-                k = len(rungs) - 1
-            else:
-                k, spans = hit
-                sel = (np.concatenate([sel[a:b] for a, b in spans])
-                       if spans else sel[:0])
+        # the widest rung holds every match, so only narrower ones are
+        # tested, with the scan's own ``lo <= tod < hi`` comparisons
+        rungs = rungs or [interval]
+        tod = leaves.t[sel] % DAY if len(rungs) > 1 else None
+        for k, rung in enumerate(rungs[:-1]):
+            inside = np.logical_or.reduce(
+                [(lo <= tod) & (tod < hi) for lo, hi in rung.tod_ranges()])
+            if np.count_nonzero(inside) >= beta:
+                sel = sel[inside]
+                break
+        else:
+            k = len(rungs) - 1
         if answered is not None:
             answered[0] = k
         if beta is not None:

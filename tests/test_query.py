@@ -151,27 +151,6 @@ def test_nan_window_bounds_rejected(paper_index):
     assert sorted(res.subs[0].xs) == [10.0, 11.0]
 
 
-def test_spq_with_is_a_checked_copy():
-    """``with_`` equals ``dataclasses.replace``: the other fields are
-    kept, an unknown name is a TypeError, and an empty path or a NaN
-    bound is rejected as the constructor rejects it."""
-    import dataclasses
-    spq = SPQ(path=(A, B, E), interval=periodic(0, 900), user=U1, beta=2,
-              timeframe=(0.0, DAY), lo=3)
-    for kw in ({"interval": periodic(-450, 1350)}, {"path": (B, E)},
-               {"beta": None, "user": None}, {"lo": 5}, {}):
-        got = spq.with_(**kw)
-        assert got == dataclasses.replace(spq, **kw) and got is not spq
-        assert hash(got) == hash(dataclasses.replace(spq, **kw))
-    assert spq.interval == periodic(0, 900)  # the original is unchanged
-    with pytest.raises(TypeError, match="'window'"):
-        spq.with_(window=periodic(0, 1))
-    with pytest.raises(ValueError, match="non-empty"):
-        spq.with_(path=())
-    with pytest.raises(ValueError, match="NaN"):
-        spq.with_(interval=fixed(0, float("nan")))
-
-
 @pytest.mark.parametrize("ivl", [periodic(DAY - 300, DAY + 300),
                                  periodic(-300, 300),
                                  periodic(5, 5 + DAY),
