@@ -4,12 +4,18 @@ Runs every (query type, pi, sigma, beta) cell the paper plots —
 sMAPE (Fig. 5), weighted error (Fig. 6), average sub-path length
 (Fig. 7), log-likelihood (Fig. 8) and ms/query (Fig. 9) all come from
 the same runs, exactly as in the paper — plus the two reference
-baselines (speed-limit-only, all-per-segment).
+baselines (speed-limit-only, all-per-segment) and the no-index
+baseline: one strict path query (the first query's 5-segment prefix,
+SPQ-only window) as a full-scan Spark SQL dataflow, whose median time
+of 3 runs is the row's ``ms_per_query``.
 
     python jobs/accuracy.py --sf 0.1 --n-queries 100 --out results/accuracy.csv
 """
 import argparse
 import sys
+import time
+
+import numpy as np
 
 from _common import add_common_args, print_table, save_csv, setup
 from repro.session import get_spark
@@ -31,8 +37,9 @@ def main() -> None:
     args = p.parse_args()
 
     spark = get_spark("repro-accuracy")
+    from repro.sparkspq import run_spark_spq
     from repro.workload import (baseline_segment_means, baseline_speed_limit,
-                                evaluate_config)
+                                evaluate_config, make_spq)
     net, trav, index, queries = setup(spark, args)
 
     base_rows = []
@@ -47,6 +54,18 @@ def main() -> None:
                       "weighted_error": seg["weighted_error"],
                       "paper_smape": 13.8, "paper_we": 24.0})
     print_table(base_rows, "Reference baselines (paper sec. 6.1)")
+
+    q = queries[0]
+    interval = make_spq(q, "spq_only", beta=None).interval
+    scan_ms = []
+    for _ in range(3):
+        t0 = time.perf_counter()
+        run_spark_spq(spark, trav, q.path[:5], interval).count()
+        scan_ms.append((time.perf_counter() - t0) * 1e3)
+    base_rows.append({"baseline": "full-scan Spark SQL",
+                      "ms_per_query": float(np.median(scan_ms))})
+    print(f"[baseline] full-scan Spark SQL, 5-segment SPQ: "
+          f"{np.median(scan_ms):.0f} ms (median of 3 runs)")
 
     rows = []
     for qt, pms in GRID.items():

@@ -30,8 +30,16 @@ class SPQ:
     def __post_init__(self) -> None:
         if len(self.path) == 0:
             raise ValueError("SPQ path must be non-empty")
-        if math.isnan(self.interval.ts) or math.isnan(self.interval.te):
-            raise ValueError(f"SPQ window bound is NaN: {self.interval}")
+        ivl = self.interval
+        if not (math.isfinite(ivl.ts) and math.isfinite(ivl.te)):
+            if math.isnan(ivl.ts) or math.isnan(ivl.te):
+                raise ValueError(f"SPQ window bound is NaN: {ivl}")
+            # a periodic window's relaxations use its centre and size,
+            # which an infinite bound leaves undefined; a fixed window
+            # keeps +-inf (the all_time fallback)
+            if ivl.periodic:
+                raise ValueError(
+                    f"periodic SPQ window bound is not finite: {ivl}")
 
     @property
     def hi(self) -> int:

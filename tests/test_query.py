@@ -140,15 +140,25 @@ def test_grid_terminates_on_generated_data(small_index, pm, sm):
 
 
 def test_nan_window_bounds_rejected(paper_index):
-    nan = float("nan")
-    for ivl in (periodic(nan, nan), periodic(0, nan), fixed(nan, 15)):
-        with pytest.raises(ValueError, match="NaN"):
-            SPQ(path=(A, B, E), interval=ivl, beta=2)
-    # an unbounded fixed window is valid
-    spq = SPQ(path=(A, B, E), interval=all_time(), beta=2)
-    res = trip_query(paper_index, spq, partition_method="none",
-                     split_method="regular")
-    assert sorted(res.subs[0].xs) == [10.0, 11.0]
+    """A NaN bound, or an infinite bound of a periodic window (whose
+    centre and size relaxation needs are then undefined), is refused at
+    construction; a fixed window keeps +-inf."""
+    nan, inf = float("nan"), float("inf")
+    for ivl, msg in ((periodic(nan, nan), "NaN"), (periodic(0, nan), "NaN"),
+                     (fixed(nan, 15), "NaN"),
+                     (periodic(-inf, inf), "not finite"),
+                     (periodic(0, inf), "not finite"),
+                     (periodic(-inf, 0), "not finite")):
+        with pytest.raises(ValueError, match=msg):
+            SPQ(path=(A, B, E), interval=ivl, beta=3)
+    # an unbounded fixed window is a one-rung ladder: both <A, B, E>
+    # trips, unsplit
+    for ivl in (all_time(), fixed(0, inf)):
+        spq = SPQ(path=(A, B, E), interval=ivl, beta=3)
+        res = trip_query(paper_index, spq, partition_method="none",
+                         split_method="regular")
+        assert [(s.spq.path, sorted(s.xs)) for s in res.subs] == [
+            ((A, B, E), [10.0, 11.0])]
 
 
 @pytest.mark.parametrize("ivl", [periodic(DAY - 300, DAY + 300),
